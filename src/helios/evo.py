@@ -3,8 +3,11 @@
 eg_solve runs the evolutionary-game optimizer: Latin hypercube init,
 fitness-proportionate selection, multi-point crossover, per-gene mutation,
 elitist replacement, and a first-improvement local search on the incumbent
-best. aco_solve is the ant-colony comparison arm: Ant System on the layered
-(stage, action) construction graph.
+best. The local search scores all replacements at one gene position in a
+single batch, and charges its budget only for the evaluations up to and
+including the first improvement, as a one-at-a-time scan would. aco_solve
+is the ant-colony comparison arm: Ant System on the layered (stage, action)
+construction graph.
 
 All randomness flows from one seed through a single numpy Generator per
 solve; identical inputs and seed give identical output and trace. Genomes
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LengthMismatch, ValidationError
-from .costing import sequence_cost, sequence_costs_batch
+from .costing import sequence_costs_batch
 from .horizon import (ActionLattice, CandidateSequence, HorizonProblem,
                       sequence_from_indices)
 
@@ -200,7 +203,6 @@ class _Evaluator:
         self.rens = hp.renewables()
         self.p_ch = hp.lattice.p_ch_array()
         self.p_dis = hp.lattice.p_dis_array()
-        self.actions = hp.lattice.actions
 
     def batch(self, idx: np.ndarray) -> np.ndarray:
         return sequence_costs_batch(self.hp.costs, self.hp.battery, self.loads,
@@ -208,45 +210,42 @@ class _Evaluator:
                                     self.p_ch[idx], self.p_dis[idx],
                                     self.hp.terminal_soc_value)
 
-    def single(self, idx: np.ndarray) -> float:
-        acts = [self.actions[int(i)] for i in idx]
-        return sequence_cost(self.hp.costs, self.hp.battery, self.loads,
-                             self.rens, self.hp.soc0, acts,
-                             self.hp.terminal_soc_value)
-
 
 def _local_search_indices(ev: _Evaluator, genome: np.ndarray, cost: float,
                           budget: int) -> tuple[np.ndarray, float]:
     """First-improvement hill climb over single-gene replacements.
 
-    Positions are visited round-robin, replacement actions in lattice order;
-    the first strict improvement is accepted. Stops when the evaluation
-    budget runs out or a full sweep finds no improvement.
+    Positions are visited round-robin. At each position the replacement
+    actions, in lattice order and without the current gene, are scored in
+    one batch, truncated to the evaluations left in the budget; the first
+    strict improvement is accepted. Only the evaluations up to and including
+    that row are charged (all rows when none improves), so the visiting
+    order, tie-breaking and budget accounting are those of a scan that
+    scores one replacement at a time. Stops when the evaluation budget runs
+    out or a full sweep finds no improvement.
     """
     n = genome.size
-    n_actions = ev.p_ch.size
+    order = np.arange(ev.p_ch.size)
     current = genome.copy()
     cur_cost = cost
     evals = 0
     stale_positions = 0
     pos = 0
     while evals < budget and stale_positions < n:
-        improved = False
-        cand = current.copy()
-        for a in range(n_actions):
-            if a == current[pos]:
-                continue
-            if evals >= budget:
-                break
-            cand[pos] = a
-            c = ev.single(cand)
-            evals += 1
-            if c < cur_cost:
-                current = cand.copy()
-                cur_cost = c
-                improved = True
-                break
-        stale_positions = 0 if improved else stale_positions + 1
+        repl = order[order != current[pos]][:budget - evals]
+        cands = np.repeat(current[None, :], repl.size, axis=0)
+        cands[:, pos] = repl
+        costs = ev.batch(cands)
+        better = np.flatnonzero(costs < cur_cost)
+        if better.size:
+            j = int(better[0])
+            current = cands[j].copy()
+            cur_cost = float(costs[j])
+            evals += j + 1
+            stale_positions = 0
+        else:
+            evals += repl.size
+            stale_positions += 1
         pos = (pos + 1) % n
     return current, cur_cost
 
@@ -259,7 +258,8 @@ def local_search(u: CandidateSequence, hp: HorizonProblem,
     ev = _Evaluator(hp)
     index_of = {a: i for i, a in enumerate(hp.lattice.actions)}
     genome = np.array([index_of[a] for a in u], dtype=np.int64)
-    refined, _ = _local_search_indices(ev, genome, ev.single(genome), budget)
+    refined, _ = _local_search_indices(ev, genome, ev.batch(genome[None, :])[0],
+                                       budget)
     return sequence_from_indices(hp.lattice, refined)
 
 
@@ -407,5 +407,8 @@ def aco_solve(hp: HorizonProblem, ap: AcoParams
 
         trace.append(best_cost)
 
-    assert best_genome is not None
+    if best_genome is None:  # no path had a finite cost, e.g. a NaN load
+        raise ValidationError(
+            "no candidate had a finite cost in the window starting at hour "
+            f"{hp.window.start_hour}")
     return sequence_from_indices(hp.lattice, best_genome), best_cost, trace

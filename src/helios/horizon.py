@@ -9,7 +9,6 @@ strategy and as the oracle that the metaheuristics are tested against.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,14 +137,6 @@ class HorizonProblem:
                              self.renewables(), self.soc0, list(u),
                              self.terminal_soc_value)
 
-    def costs_of_index_population(self, idx: np.ndarray) -> np.ndarray:
-        """Vectorized J(u) for an (m, n_steps) array of lattice indices."""
-        p_ch = self.lattice.p_ch_array()[idx]
-        p_dis = self.lattice.p_dis_array()[idx]
-        return sequence_costs_batch(self.costs, self.battery, self.window.load,
-                                    self.renewables(), self.soc0, p_ch, p_dis,
-                                    self.terminal_soc_value)
-
 
 def sequence_from_indices(lattice: ActionLattice, idx) -> CandidateSequence:
     return CandidateSequence(tuple(lattice.actions[int(i)] for i in idx))
@@ -178,22 +169,31 @@ def solve_exact(hp: HorizonProblem,
 
 def _solve_enumeration(hp: HorizonProblem) -> tuple[CandidateSequence, float]:
     n_actions = len(hp.lattice)
+    n_sequences = n_actions ** hp.n_steps
+    loads = hp.window.load
+    rens = hp.renewables()
+    p_ch = hp.lattice.p_ch_array()
+    p_dis = hp.lattice.p_dis_array()
+    # Sequence number k in lexicographic order has digit t equal to
+    # (k // n_actions**(n_steps-1-t)) % n_actions.
+    radix = n_actions ** np.arange(hp.n_steps - 1, -1, -1, dtype=np.int64)
     best_cost = np.inf
-    best_idx: tuple[int, ...] | None = None
+    best_idx: np.ndarray | None = None
     # Chunked lexicographic scan; np.argmin picks the first (smallest) index
     # within a chunk, and strict < keeps the earliest across chunks.
-    it = itertools.product(range(n_actions), repeat=hp.n_steps)
-    while True:
-        chunk = list(itertools.islice(it, _ENUM_CHUNK))
-        if not chunk:
-            break
-        idx = np.array(chunk, dtype=np.int64)
-        costs = hp.costs_of_index_population(idx)
+    for start in range(0, n_sequences, _ENUM_CHUNK):
+        stop = min(start + _ENUM_CHUNK, n_sequences)
+        idx = (np.arange(start, stop, dtype=np.int64)[:, None] // radix) % n_actions
+        costs = sequence_costs_batch(hp.costs, hp.battery, loads, rens, hp.soc0,
+                                     p_ch[idx], p_dis[idx], hp.terminal_soc_value)
         i = int(np.argmin(costs))
         if costs[i] < best_cost:
             best_cost = float(costs[i])
-            best_idx = chunk[i]
-    assert best_idx is not None
+            best_idx = idx[i]
+    if best_idx is None:  # no sequence had a finite cost, e.g. a NaN load
+        raise ValidationError(
+            "no candidate had a finite cost in the window starting at hour "
+            f"{hp.window.start_hour}")
     return sequence_from_indices(hp.lattice, best_idx), best_cost
 
 
@@ -251,7 +251,8 @@ def _solve_dp(hp: HorizonProblem, soc_grid_step: float
                     - (p_dis[a] / bp.eta_dis) * bp.dt)
         node = int(snap(np.array([soc_next]))[0])
     seq = sequence_from_indices(hp.lattice, idx)
-    return seq, hp.cost_of(seq)
+    return seq, sequence_cost(cp, bp, loads, rens, hp.soc0, seq.actions,
+                              hp.terminal_soc_value)
 
 
 def solve_myopic(hp: HorizonProblem) -> CandidateSequence:

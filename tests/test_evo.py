@@ -1,13 +1,67 @@
 """Evolutionary operators, the EG solver, and the ant-colony arm."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import make_problem
-from helios.core import LengthMismatch, ValidationError
-from helios.evo import (AcoParams, EvoParams, aco_solve, crossover, eg_solve,
-                        lhs_init, local_search, mutate, select)
+from helios.core import CostParams, LengthMismatch, ValidationError
+from helios.costing import sequence_cost
+from helios.evo import (AcoParams, EvoParams, _Evaluator, _local_search_indices,
+                        aco_solve, crossover, eg_solve, lhs_init, local_search,
+                        mutate, select)
 from helios.horizon import CandidateSequence, build_lattice, solve_exact
+
+
+def scalar_local_search(hp, genome, cost, budget):
+    """Reference first-improvement climb, one scalar evaluation per candidate."""
+    n = genome.size
+    n_actions = len(hp.lattice)
+    rens = hp.renewables()
+
+    def score(idx):
+        return sequence_cost(hp.costs, hp.battery, hp.window.load, rens, hp.soc0,
+                             [hp.lattice.actions[int(i)] for i in idx],
+                             hp.terminal_soc_value)
+
+    current = genome.copy()
+    cur_cost = cost
+    evals = 0
+    stale_positions = 0
+    pos = 0
+    while evals < budget and stale_positions < n:
+        improved = False
+        cand = current.copy()
+        for a in range(n_actions):
+            if a == current[pos]:
+                continue
+            if evals >= budget:
+                break
+            cand[pos] = a
+            c = score(cand)
+            evals += 1
+            if c < cur_cost:
+                current = cand.copy()
+                cur_cost = c
+                improved = True
+                break
+        stale_positions = 0 if improved else stale_positions + 1
+        pos = (pos + 1) % n
+    return current, cur_cost
+
+
+def assert_batched_climb_matches_scalar(hp, genome, cost, budgets):
+    """Per budget, the batched climb returns the reference's genome and cost."""
+    ev = _Evaluator(hp)
+    results = []
+    for budget in budgets:
+        got, got_cost = _local_search_indices(ev, genome, cost, budget)
+        want, want_cost = scalar_local_search(hp, genome, cost, budget)
+        assert got.tolist() == want.tolist()
+        assert got_cost == want_cost
+        results.append((want, want_cost))
+    return results
 
 
 class TestParams:
@@ -173,6 +227,49 @@ class TestLocalSearch:
                 refined = local_search(u, hp, budget=budget)
                 assert hp.cost_of(refined) <= hp.cost_of(u) + 1e-12
 
+    @pytest.mark.parametrize("delta_p", [50.0, 10.0])  # 23 and 111 actions
+    def test_batched_climb_matches_scalar_reference(self, delta_p):
+        lattice = build_lattice(1000.0, 100.0, delta_p)
+        assert len(lattice) == (23 if delta_p == 50.0 else 111)
+        rng = np.random.default_rng(2024)
+        improved = 0
+        for _ in range(6):
+            hp = make_problem(rng.uniform(0.0, 400.0, 6).tolist(),
+                              rng.uniform(0.0, 400.0, 6).tolist(),
+                              soc0=float(rng.uniform(150.0, 850.0)),
+                              lattice=lattice,
+                              terminal_soc_value=float(rng.choice([0.0, 0.02])))
+            genome = rng.integers(0, len(lattice), hp.n_steps)
+            cost = hp.cost_of([lattice.actions[int(i)] for i in genome])
+            for _, want_cost in assert_batched_climb_matches_scalar(
+                    hp, genome, cost, (1, 7, 22, 23, 50, 400)):
+                improved += want_cost < cost
+        assert improved > 0
+
+    def test_batched_climb_matches_scalar_reference_on_late_improvement(self):
+        # A 50 kW discharge in a deficit window: idle and every charge level
+        # are worse, so the only improvement at a position is the last
+        # replacement in lattice order, the 100 kW discharge.
+        lattice = build_lattice(1000.0, 100.0, 50.0)
+        hp = make_problem([400.0] * 3, [0.0] * 3, soc0=600.0, lattice=lattice)
+        genome = np.full(3, 21)
+        cost = hp.cost_of([lattice.actions[21]] * 3)
+        results = assert_batched_climb_matches_scalar(
+            hp, genome, cost, (1, 7, 21, 22, 23, 50, 400))
+        assert results[-1][0].tolist() == [22, 22, 22]
+
+    def test_batched_climb_matches_scalar_reference_when_all_tie(self):
+        # Surplus every hour, free cycling and a SOC that stays in band:
+        # every sequence costs 0, so no replacement is ever accepted.
+        lattice = build_lattice(100.0, 100.0, 10.0)
+        hp = make_problem([100.0] * 4, [1500.0] * 4, soc0=500.0,
+                          costs=CostParams(c_bat=0.0), lattice=lattice)
+        genome = np.array([3, 0, 15, 20])
+        for want, want_cost in assert_batched_climb_matches_scalar(
+                hp, genome, 0.0, (1, 7, 22, 23, 50, 400)):
+            assert want.tolist() == genome.tolist()
+            assert want_cost == 0.0
+
 
 class TestEgSolve:
     def test_reaches_enumeration_optimum_on_small_instance(self):
@@ -242,3 +339,9 @@ class TestAcoSolve:
         hp = make_problem([300.0, 100.0], [0.0, 90.0], soc0=420.0)
         ap = AcoParams(ants=15, iterations=20, seed=77)
         assert aco_solve(hp, ap) == aco_solve(hp, ap)
+
+    def test_nan_load_raises_validation_error(self):
+        hp = make_problem([300.0, float("nan"), 220.0], [0.0, 90.0, 10.0])
+        hp = replace(hp, window=replace(hp.window, start_hour=7))
+        with pytest.raises(ValidationError, match="finite cost.*hour 7"):
+            aco_solve(hp, AcoParams(ants=5, iterations=3, seed=1))

@@ -1,11 +1,16 @@
 """Action lattice, exact solvers, and the myopic comparison arm."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import helios.horizon
 from conftest import action_indices, brute_force_optimum, make_problem, random_small_problem
-from helios.core import BudgetExceeded, ControlAction, InvalidStep
-from helios.horizon import build_lattice, solve_exact, solve_myopic
+from helios.core import (BudgetExceeded, ControlAction, CostParams, InvalidStep,
+                         ValidationError)
+from helios.horizon import (DEFAULT_MAX_ENUMERATION, _solve_enumeration,
+                            build_lattice, solve_exact, solve_myopic)
 
 
 class TestBuildLattice:
@@ -88,6 +93,33 @@ class TestSolveExact:
         a = solve_exact(hp)
         b = solve_exact(hp)
         assert a == b
+
+    @pytest.mark.parametrize("chunk", [65536, 7, 81])
+    def test_chunked_enumeration_keeps_the_first_minimum(self, chunk, monkeypatch):
+        monkeypatch.setattr(helios.horizon, "_ENUM_CHUNK", chunk)
+        rng = np.random.default_rng(8)
+        problems = [random_small_problem(rng) for _ in range(4)]
+        # Tie-heavy: with free cycling, 408 of the 6561 sequences share the
+        # minimum, and the first of them is sequence number 3699.
+        problems.append(make_problem([150.0, 100.0, 250.0, 120.0],
+                                     [100.0, 300.0, 150.0, 220.0], soc0=500.0,
+                                     costs=CostParams(c_bat=0.0)))
+        # Ties coupled through the SOC: the battery affords one 50 kW
+        # discharge, in either hour, so the tie set is not a product of
+        # per-step sets and only lexicographic order picks (idle, discharge).
+        problems.append(make_problem([300.0, 300.0], [0.0, 0.0], soc0=170.0))
+        for hp in problems:
+            seq, cost = _solve_enumeration(hp)
+            combo, oracle = brute_force_optimum(hp)  # itertools.product scan
+            assert action_indices(hp, seq) == combo
+            assert cost == oracle
+
+    def test_nan_load_raises_validation_error_on_enumeration(self):
+        hp = make_problem([200.0, float("nan")], [100.0, 100.0])
+        hp = replace(hp, window=replace(hp.window, start_hour=5))
+        assert len(hp.lattice) ** hp.n_steps <= DEFAULT_MAX_ENUMERATION
+        with pytest.raises(ValidationError, match="finite cost.*hour 5"):
+            solve_exact(hp)
 
     def test_budget_exceeded_when_dp_table_too_large(self):
         hp = make_problem([100.0] * 3, [0.0] * 3)
