@@ -6,8 +6,7 @@ closed-loop receding-horizon engine with CSV/config tooling.
 
 from .baselines import StrategyKind
 from .config import Config, load_config, save_config
-from .core import (BatteryParams, BatteryState, ControlAction, CostParams,
-                   HeliosError, Scenario, validate_scenario)
+from .core import BatteryParams, ControlAction, CostParams, HeliosError, Scenario
 from .costing import CostBreakdown, StepFlows
 from .data import SyntheticProfile, generate_synthetic, load_hourly_csv
 from .engine import ComparisonResult, DispatchTrace, compare_strategies, run_closed_loop
@@ -19,13 +18,13 @@ from .renewable import RenewableModel, fit, reference_model, predict, surface
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcoParams", "ActionLattice", "BatteryParams", "BatteryState",
-    "CandidateSequence", "ComparisonResult", "Config", "ControlAction",
+    "AcoParams", "ActionLattice", "BatteryParams", "CandidateSequence",
+    "ComparisonResult", "Config", "ControlAction",
     "CostBreakdown", "CostParams", "DispatchTrace", "EvoParams",
     "HeliosError", "HorizonProblem", "RenewableModel", "Scenario",
     "StepFlows", "StrategyKind", "SyntheticProfile", "aco_solve",
     "build_lattice", "compare_strategies", "eg_solve", "fit",
     "generate_synthetic", "load_config", "load_hourly_csv", "reference_model",
     "predict", "run_closed_loop", "save_config", "solve_exact",
-    "solve_myopic", "surface", "validate_scenario",
+    "solve_myopic", "surface",
 ]

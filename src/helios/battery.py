@@ -11,18 +11,18 @@ from __future__ import annotations
 from .core import BatteryParams, ControlAction
 
 
-def step_soc(p: BatteryParams, soc: float, a: ControlAction) -> float:
+def soc_after(p: BatteryParams, soc, p_ch, p_dis):
     """Next SOC in kWh after one step: soc + eta_ch*p_ch*dt - (p_dis/eta_dis)*dt.
 
-    No clamping; see module docstring.
+    The one SOC update of the package. Works on floats and on numpy arrays
+    that broadcast against each other. No clamping; see module docstring.
     """
-    return soc + p.eta_ch * a.p_ch * p.dt - (a.p_dis / p.eta_dis) * p.dt
+    return soc + p.eta_ch * p_ch * p.dt - (p_dis / p.eta_dis) * p.dt
 
 
-def step_soc_perturbed(p: BatteryParams, soc: float, a: ControlAction,
-                       w: float) -> float:
-    """step_soc plus an additive disturbance w (kWh)."""
-    return step_soc(p, soc, a) + w
+def step_soc(p: BatteryParams, soc: float, a: ControlAction) -> float:
+    """Next SOC in kWh after applying one action; see soc_after."""
+    return soc_after(p, soc, a.p_ch, a.p_dis)
 
 
 def max_charge_kw(p: BatteryParams, soc: float, renewable_surplus: float,

@@ -47,7 +47,8 @@ class Config:
     seed: int = 42
 
 
-# key -> (getter, setter-fragment applied onto a plain dict, parser)
+# key -> (Config attribute holding the field or None for Config itself,
+#         field name, parser); config_to_text writes the keys in this order.
 _SCHEMA: dict[str, tuple] = {
     "battery_capacity_kwh": ("battery", "capacity", float),
     "battery_soc_min_kwh": ("battery", "soc_min", float),
@@ -57,11 +58,11 @@ _SCHEMA: dict[str, tuple] = {
     "battery_eta_ch": ("battery", "eta_ch", float),
     "battery_eta_dis": ("battery", "eta_dis", float),
     "battery_dt_h": ("battery", "dt", float),
+    "initial_soc_kwh": (None, "initial_soc", float),
     "cost_c_bat": ("costs", "c_bat", float),
     "cost_c_backup": ("costs", "c_backup", float),
     "cost_q_under": ("costs", "q_under", float),
     "cost_r_over": ("costs", "r_over", float),
-    "initial_soc_kwh": (None, "initial_soc", float),
     "lattice_delta_p_kw": (None, "delta_p", float),
     "horizon_steps": (None, "horizon", int),
     "strategy": (None, "strategy", StrategyKind.parse),
@@ -107,9 +108,8 @@ def parse_config_text(text: str, base: Config | None = None) -> Config:
     Keys not present fall back to `base` (package defaults when omitted),
     which also lets callers layer override lines on an existing Config.
     """
-    groups: dict[str, dict] = {"battery": {}, "costs": {}, "renewable": {},
-                               "evo": {}, "aco": {}}
-    top: dict = {}
+    # Parsed values per _SCHEMA group; the None group holds Config's own fields.
+    groups: dict = {g: {} for g, _, _ in _SCHEMA.values()}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -132,23 +132,13 @@ def parse_config_text(text: str, base: Config | None = None) -> Config:
         except Exception:
             raise ParseError(
                 f"line {lineno}: key '{key}': cannot parse value '{raw}'") from None
-        if group is None:
-            top[attr] = value
-        else:
-            groups[group][attr] = value
+        groups[group][attr] = value
 
     base = base if base is not None else Config()
-    kwargs = dict(top)
-    if groups["battery"]:
-        kwargs["battery"] = replace(base.battery, **groups["battery"])
-    if groups["costs"]:
-        kwargs["costs"] = replace(base.costs, **groups["costs"])
-    if groups["renewable"]:
-        kwargs["renewable"] = replace(base.renewable, **groups["renewable"])
-    if groups["evo"]:
-        kwargs["evo"] = replace(base.evo, **groups["evo"])
-    if groups["aco"]:
-        kwargs["aco"] = replace(base.aco, **groups["aco"])
+    kwargs = groups.pop(None)
+    for group, values in groups.items():
+        if values:
+            kwargs[group] = replace(getattr(base, group), **values)
     return replace(base, **kwargs)
 
 
@@ -157,52 +147,23 @@ def load_config(path: str) -> Config:
         return parse_config_text(fh.read())
 
 
+def _format_value(value, conv) -> str:
+    if conv is None:  # boolean
+        return "true" if value else "false"
+    if conv is float:
+        return repr(value)
+    return value.value if isinstance(value, StrategyKind) else str(value)
+
+
 def config_to_text(cfg: Config) -> str:
-    """Serialize a Config so that parse_config_text round-trips it exactly."""
-    b, c, r, e, a = cfg.battery, cfg.costs, cfg.renewable, cfg.evo, cfg.aco
-    lines = [
-        "# helios run configuration",
-        f"battery_capacity_kwh = {b.capacity!r}",
-        f"battery_soc_min_kwh = {b.soc_min!r}",
-        f"battery_soc_max_kwh = {b.soc_max!r}",
-        f"battery_p_ch_max_kw = {b.p_ch_max!r}",
-        f"battery_p_dis_max_kw = {b.p_dis_max!r}",
-        f"battery_eta_ch = {b.eta_ch!r}",
-        f"battery_eta_dis = {b.eta_dis!r}",
-        f"battery_dt_h = {b.dt!r}",
-        f"initial_soc_kwh = {cfg.initial_soc!r}",
-        f"cost_c_bat = {c.c_bat!r}",
-        f"cost_c_backup = {c.c_backup!r}",
-        f"cost_q_under = {c.q_under!r}",
-        f"cost_r_over = {c.r_over!r}",
-        f"lattice_delta_p_kw = {cfg.delta_p!r}",
-        f"horizon_steps = {cfg.horizon}",
-        f"strategy = {cfg.strategy.value}",
-        f"renewable_a1 = {r.a1!r}",
-        f"renewable_a2 = {r.a2!r}",
-        f"renewable_a3 = {r.a3!r}",
-        f"renewable_a4 = {r.a4!r}",
-        f"renewable_p_rated_kw = {r.p_rated!r}",
-        f"evo_population = {e.population}",
-        f"evo_generations = {e.generations}",
-        f"evo_p_mut = {e.p_mut!r}",
-        f"evo_crossover_points = {e.crossover_points}",
-        f"evo_elite = {e.elite}",
-        f"evo_local_search_budget = {e.local_search_budget}",
-        f"evo_epsilon_fitness = {e.epsilon_fitness!r}",
-        f"aco_ants = {a.ants}",
-        f"aco_iterations = {a.iterations}",
-        f"aco_evaporation = {a.evaporation!r}",
-        f"aco_pheromone_init = {a.pheromone_init!r}",
-        f"aco_alpha = {a.alpha!r}",
-        f"aco_beta = {a.beta!r}",
-        f"allow_backup_charging = {'true' if cfg.allow_backup_charging else 'false'}",
-        f"forecast_noise_kw = {cfg.forecast_noise_kw!r}",
-        f"terminal_soc_value = {cfg.terminal_soc_value!r}",
-        f"soc_grid_step_kwh = {cfg.soc_grid_step!r}",
-        f"max_enumeration = {cfg.max_enumeration}",
-        f"seed = {cfg.seed}",
-    ]
+    """Serialize a Config so that parse_config_text round-trips it exactly.
+
+    Keys are written in _SCHEMA order.
+    """
+    lines = ["# helios run configuration"]
+    for key, (group, attr, conv) in _SCHEMA.items():
+        owner = cfg if group is None else getattr(cfg, group)
+        lines.append(f"{key} = {_format_value(getattr(owner, attr), conv)}")
     return "\n".join(lines) + "\n"
 
 

@@ -12,7 +12,8 @@ All types are immutable value objects; constructors reject invalid states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 # =============================================================================
@@ -101,17 +102,19 @@ def _check_scenario(s: Scenario) -> None:
             raise LengthMismatch(
                 f"{name} has {len(series)} entries, expected steps={s.steps}")
         for i, v in enumerate(series):
+            if not math.isfinite(v):
+                raise ValidationError(f"{name}[{i}] = {v} is not finite")
             if v < 0:
                 raise NegativeValue(f"{name}[{i}] = {v} is negative")
 
 
-def validate_scenario(s: Scenario) -> Scenario:
-    """Return `s` unchanged iff all Scenario invariants hold.
-
-    Raises LengthMismatch or NegativeValue otherwise.
-    """
-    _check_scenario(s)
-    return s
+def check_finite_fields(obj) -> None:
+    """Raise ValidationError naming the first dataclass field that is NaN or inf."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if not math.isfinite(v):
+            raise ValidationError(
+                f"{type(obj).__name__}.{f.name} must be finite, got {v}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +131,7 @@ class BatteryParams:
     dt: float = 1.0   # hours per step
 
     def __post_init__(self):
+        check_finite_fields(self)
         if not (0 <= self.soc_min < self.soc_max <= self.capacity):
             raise ValidationError(
                 f"need 0 <= soc_min < soc_max <= capacity, got "
@@ -139,18 +143,6 @@ class BatteryParams:
         for name, eta in (("eta_ch", self.eta_ch), ("eta_dis", self.eta_dis)):
             if not (0 < eta <= 1):
                 raise ValidationError(f"{name} must be in (0, 1], got {eta}")
-
-
-@dataclass(frozen=True)
-class BatteryState:
-    """Evolving battery state: stored energy in kWh.
-
-    Bounds [soc_min, soc_max] are enforced on applied transitions by the
-    engine; candidate (planned) trajectories may leave the band and pay
-    penalty costs instead.
-    """
-
-    soc: float  # kWh
 
 
 @dataclass(frozen=True)
@@ -179,9 +171,6 @@ class ControlAction:
         return self.p_ch == 0.0 and self.p_dis == 0.0
 
 
-IDLE = ControlAction(0.0, 0.0)
-
-
 @dataclass(frozen=True)
 class CostParams:
     """Unit prices and penalty weights, currency per kWh.
@@ -196,6 +185,7 @@ class CostParams:
     r_over: float = 10.0     # per kWh of SOC excess above soc_max
 
     def __post_init__(self):
+        check_finite_fields(self)
         for name, v in (("c_bat", self.c_bat), ("c_backup", self.c_backup),
                         ("q_under", self.q_under), ("r_over", self.r_over)):
             if v < 0:

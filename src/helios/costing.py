@@ -10,6 +10,13 @@ unclamped dynamics forward and sums step costs; an optional terminal term
 terminal_soc_value * (soc_max - soc_N) rewards plans that end with energy in
 the battery (zero by default, and always >= 0 so search methods that weight
 by 1/J stay well defined).
+
+The formula has two implementations. step_cost is the scalar one, which the
+engine books applied hours with and which sequence_cost sums. stage_costs is
+the one vectorised kernel: sequence_costs_batch, the exact DP and myopic
+solvers and the ant colony all price their candidates through it, with the
+next SOC from battery.soc_after computed by the caller. The two agree bit for
+bit on finite input.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .battery import step_soc
+from .battery import soc_after, step_soc
 from .core import BatteryParams, ControlAction, CostParams, LengthMismatch, NegativeValue
 
 
@@ -138,14 +145,23 @@ def sequence_costs_batch(cp: CostParams, bp: BatteryParams, load_kw, renewable_k
     for t in range(n_steps):
         ch = p_ch[:, t]
         dis = p_dis[:, t]
-        soc_next = soc + bp.eta_ch * ch * bp.dt - (dis / bp.eta_dis) * bp.dt
-        battery = cp.c_bat * dis * bp.dt
-        backup = cp.c_backup * np.maximum(
-            0.0, load_kw[t] - (renewable_kw[t] + dis - ch)) * bp.dt
-        penalty = (cp.q_under * np.maximum(0.0, bp.soc_min - soc_next)
-                   + cp.r_over * np.maximum(0.0, soc_next - bp.soc_max))
-        total += battery + backup + penalty
+        soc_next = soc_after(bp, soc, ch, dis)
+        total += stage_costs(cp, bp, load_kw[t], renewable_kw[t], soc_next, ch, dis)
         soc = soc_next
     if terminal_soc_value != 0.0:
         total += terminal_soc_value * (bp.soc_max - soc)
     return total
+
+
+def stage_costs(cp: CostParams, bp: BatteryParams, load: float, renewable: float,
+                soc_next, p_ch, p_dis):
+    """Vectorized step cost: step_cost(...).total over broadcasting arrays.
+
+    soc_next is the unclamped next SOC of each action, from soc_after. The
+    sum order matches step_cost's battery + backup + penalty bit for bit,
+    because at most one of the two penalty terms is nonzero.
+    """
+    return (cp.c_bat * p_dis * bp.dt
+            + cp.c_backup * np.maximum(0.0, load - (renewable + p_dis - p_ch)) * bp.dt
+            + cp.q_under * np.maximum(0.0, bp.soc_min - soc_next)
+            + cp.r_over * np.maximum(0.0, soc_next - bp.soc_max))

@@ -16,7 +16,7 @@ import numpy as np
 from .baselines import RULE_BASED, PolicyDecision, StrategyKind, rule_step
 from .battery import clip_feasible, step_soc
 from .config import Config
-from .core import ControlAction, Scenario, ValidationError, validate_scenario
+from .core import ControlAction, Scenario, ValidationError
 from .costing import CostBreakdown, step_cost, step_flows
 from .evo import aco_solve, eg_solve
 from .horizon import HorizonProblem, build_lattice, solve_exact, solve_myopic
@@ -108,7 +108,6 @@ def run_closed_loop(scenario: Scenario, strategy: StrategyKind, cfg: Config,
     `seed` overrides cfg.seed for this run. Identical (scenario, cfg, seed)
     always produce an identical trace.
     """
-    validate_scenario(scenario)
     bp = cfg.battery
     if not (bp.soc_min <= cfg.initial_soc <= bp.soc_max):
         raise ValidationError(

@@ -3,11 +3,17 @@
 eg_solve runs the evolutionary-game optimizer: Latin hypercube init,
 fitness-proportionate selection, multi-point crossover, per-gene mutation,
 elitist replacement, and a first-improvement local search on the incumbent
-best. The local search scores all replacements at one gene position in a
-single batch, and charges its budget only for the evaluations up to and
-including the first improvement, as a one-at-a-time scan would. aco_solve
+best. Each operator has one implementation, a batch kernel over index rows
+(_lhs_indices, _select_batch, _crossover_batch, _mutate_batch,
+_local_search_indices) that eg_solve runs; the object-level lhs_init,
+select, crossover, mutate and local_search are thin wrappers over them that
+draw the same random numbers. The local search scores all replacements at
+one gene position in a single batch, and charges its budget only for the
+evaluations up to and including the first improvement, as a one-at-a-time
+scan would. aco_solve
 is the ant-colony comparison arm: Ant System on the layered (stage, action)
-construction graph.
+construction graph; its per-step heuristic prices actions with
+battery.soc_after and costing.stage_costs, the kernels every solver shares.
 
 All randomness flows from one seed through a single numpy Generator per
 solve; identical inputs and seed give identical output and trace. Genomes
@@ -21,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .battery import soc_after
 from .core import LengthMismatch, ValidationError
-from .costing import sequence_costs_batch
+from .costing import sequence_costs_batch, stage_costs
 from .horizon import (ActionLattice, CandidateSequence, HorizonProblem,
                       sequence_from_indices)
 
@@ -126,10 +133,7 @@ def select(costs, rng: np.random.Generator, epsilon: float = 1e-9) -> int:
     costs = np.asarray(costs, dtype=float)
     if costs.size == 0:
         raise ValidationError("cannot select from an empty population")
-    f = _fitness(costs, epsilon)
-    cum = np.cumsum(f)
-    u = rng.random() * cum[-1]
-    return int(min(np.searchsorted(cum, u, side="right"), costs.size - 1))
+    return int(_select_batch(costs, rng, epsilon, 1)[0])
 
 
 def _select_batch(costs: np.ndarray, rng: np.random.Generator, epsilon: float,
@@ -152,26 +156,16 @@ def crossover(a: CandidateSequence, b: CandidateSequence, k: int,
         raise LengthMismatch(f"parent lengths differ: {n} vs {len(b)}")
     if n < 2 or not (1 <= k < n):
         raise ValidationError(f"need 1 <= k < len(parents), got k={k}, n={n}")
-    cuts = np.sort(rng.choice(np.arange(1, n), size=k, replace=False))
-    child1, child2 = [], []
-    src_flipped = False
-    boundary = 0
-    for cut in list(cuts) + [n]:
-        seg = slice(boundary, cut)
-        if src_flipped:
-            child1.extend(b.actions[seg])
-            child2.extend(a.actions[seg])
-        else:
-            child1.extend(a.actions[seg])
-            child2.extend(b.actions[seg])
-        src_flipped = not src_flipped
-        boundary = cut
-    return CandidateSequence(tuple(child1)), CandidateSequence(tuple(child2))
+    # Genes as indices into a.actions + b.actions, so any actions cross over.
+    genes = a.actions + b.actions
+    children = _crossover_batch(np.arange(n)[None, :], np.arange(n, 2 * n)[None, :],
+                                k, rng)
+    return tuple(CandidateSequence(tuple(genes[i] for i in c[0])) for c in children)
 
 
 def _crossover_batch(a: np.ndarray, b: np.ndarray, k: int,
                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized crossover of paired parent rows, same semantics as crossover()."""
+    """Crossover of paired parent rows at k distinct cuts drawn per pair."""
     pairs, n = a.shape
     cuts = rng.random((pairs, n - 1)).argsort(axis=1)[:, :k] + 1
     flags = np.zeros((pairs, n), dtype=np.int64)
@@ -186,12 +180,20 @@ def mutate(u: CandidateSequence, lattice: ActionLattice, p_mut: float,
 
     The replacement may equal the original gene.
     """
-    n = len(u)
-    coins = rng.random(n)
-    repl = rng.integers(0, len(lattice), size=n)
-    actions = tuple(lattice.actions[int(repl[i])] if coins[i] < p_mut else u[i]
-                    for i in range(n))
-    return CandidateSequence(actions)
+    # Genes as indices into lattice.actions + u.actions: a kept gene stays
+    # u's own action, a replaced one is a lattice index.
+    genes = lattice.actions + u.actions
+    mutated = _mutate_batch(np.arange(len(lattice), len(genes))[None, :],
+                            len(lattice), p_mut, rng)
+    return CandidateSequence(tuple(genes[i] for i in mutated[0]))
+
+
+def _mutate_batch(genomes: np.ndarray, n_actions: int, p_mut: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Replace each gene with probability p_mut by a uniform index < n_actions."""
+    coins = rng.random(genomes.shape)
+    repl = rng.integers(0, n_actions, size=genomes.shape)
+    return np.where(coins < p_mut, repl, genomes)
 
 
 class _Evaluator:
@@ -304,9 +306,7 @@ def eg_solve(hp: HorizonProblem, ep: EvoParams
         children[0::2] = c1
         children[1::2] = c2
         children = children[:n_children]
-        coins = rng.random(children.shape)
-        repl = rng.integers(0, n_actions, size=children.shape)
-        children = np.where(coins < ep.p_mut, repl, children)
+        children = _mutate_batch(children, n_actions, ep.p_mut, rng)
         child_costs = ev.batch(children)
 
         keep = np.argsort(costs, kind="stable")[:ep.elite]
@@ -369,21 +369,14 @@ def aco_solve(hp: HorizonProblem, ap: AcoParams
         total = np.zeros(ap.ants, dtype=float)
         paths = np.empty((ap.ants, n), dtype=np.int64)
         for t in range(n):
-            soc_next = (socs[:, None] + bp.eta_ch * p_ch[None, :] * bp.dt
-                        - (p_dis[None, :] / bp.eta_dis) * bp.dt)
-            stage = (cp.c_bat * p_dis[None, :] * bp.dt
-                     + cp.c_backup * np.maximum(
-                         0.0, ev.loads[t] - (ev.rens[t] + p_dis[None, :]
-                                             - p_ch[None, :])) * bp.dt
-                     + cp.q_under * np.maximum(0.0, bp.soc_min - soc_next)
-                     + cp.r_over * np.maximum(0.0, soc_next - bp.soc_max))
+            soc_next = soc_after(bp, socs[:, None], p_ch, p_dis)
+            stage = stage_costs(cp, bp, ev.loads[t], ev.rens[t], soc_next,
+                                p_ch, p_dis)
             heuristic = 1.0 / (1.0 + stage)
             weight = tau[t][None, :] ** ap.alpha * heuristic ** ap.beta
-            rowsum = weight.sum(axis=1, keepdims=True)
-            degenerate = (rowsum == 0.0).ravel()
+            degenerate = weight.sum(axis=1) == 0.0
             if degenerate.any():
                 weight[degenerate] = 1.0
-                rowsum = weight.sum(axis=1, keepdims=True)
             cum = np.cumsum(weight, axis=1)
             u = rng.random(ap.ants) * cum[:, -1]
             choice = np.minimum((cum < u[:, None]).sum(axis=1), n_actions - 1)

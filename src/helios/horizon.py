@@ -5,6 +5,11 @@ full enumeration with exact continuous SOC whenever the sequence count fits
 the budget, otherwise backward dynamic programming on a discretized SOC grid
 (next-SOC snapped to the nearest node). It doubles as the "standard MPC"
 strategy and as the oracle that the metaheuristics are tested against.
+
+Every solver here prices candidates with the package's one SOC update,
+battery.soc_after, and its one vectorised step cost, costing.stage_costs:
+enumeration through costing.sequence_costs_batch, DP and the myopic arm by
+calling the kernel on the (node or state) x action grid directly.
 """
 
 from __future__ import annotations
@@ -13,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .battery import soc_after
 from .core import (BatteryParams, BudgetExceeded, ControlAction, CostParams,
                    InvalidStep, Scenario, ValidationError)
-from .costing import sequence_cost, sequence_costs_batch
+from .costing import sequence_cost, sequence_costs_batch, stage_costs
 from .renewable import RenewableModel, predict_series
 
 DEFAULT_DELTA_P = 50.0          # kW
@@ -219,37 +225,30 @@ def _solve_dp(hp: HorizonProblem, soc_grid_step: float
         k = np.floor((soc - bp.soc_min) / soc_grid_step + 0.5).astype(np.int64)
         return np.clip(k, 0, len(grid) - 1)
 
-    def stage_cost(soc_next: np.ndarray, dis, ch, t: int) -> np.ndarray:
-        return (cp.c_bat * dis * bp.dt
-                + cp.c_backup * np.maximum(
-                    0.0, loads[t] - (rens[t] + dis - ch)) * bp.dt
-                + cp.q_under * np.maximum(0.0, bp.soc_min - soc_next)
-                + cp.r_over * np.maximum(0.0, soc_next - bp.soc_max))
-
     # values[t] is the optimal cost-to-go from each grid node at stage t.
     values = np.empty((n + 1, len(grid)))
     values[n] = hp.terminal_soc_value * (bp.soc_max - grid)
     policy = np.zeros((n, len(grid)), dtype=np.int64)
     for t in range(n - 1, -1, -1):
-        soc_next = (grid[:, None] + bp.eta_ch * p_ch[None, :] * bp.dt
-                    - (p_dis[None, :] / bp.eta_dis) * bp.dt)
-        q = stage_cost(soc_next, p_dis[None, :], p_ch[None, :], t)
+        # soc_next is the same at every stage, but holding the node x action
+        # arrays across stages raises the peak memory on a fine lattice.
+        soc_next = soc_after(bp, grid[:, None], p_ch, p_dis)
+        q = stage_costs(cp, bp, loads[t], rens[t], soc_next, p_ch, p_dis)
         q += values[t + 1][snap(soc_next)]
         policy[t] = np.argmin(q, axis=1)  # first min = smallest action index
         values[t] = q[np.arange(len(grid)), policy[t]]
 
     # Forward pass: first step from the exact soc0, then follow grid nodes.
-    soc_next0 = hp.soc0 + bp.eta_ch * p_ch * bp.dt - (p_dis / bp.eta_dis) * bp.dt
-    q0 = stage_cost(soc_next0, p_dis, p_ch, 0) + values[1][snap(soc_next0)]
+    soc_next0 = soc_after(bp, hp.soc0, p_ch, p_dis)
+    q0 = (stage_costs(cp, bp, loads[0], rens[0], soc_next0, p_ch, p_dis)
+          + values[1][snap(soc_next0)])
     first = int(np.argmin(q0))
     idx = [first]
     node = int(snap(soc_next0[first:first + 1])[0])
     for t in range(1, n):
         a = int(policy[t][node])
         idx.append(a)
-        soc_next = (grid[node] + bp.eta_ch * p_ch[a] * bp.dt
-                    - (p_dis[a] / bp.eta_dis) * bp.dt)
-        node = int(snap(np.array([soc_next]))[0])
+        node = int(snap(np.array([soc_after(bp, grid[node], p_ch[a], p_dis[a])]))[0])
     seq = sequence_from_indices(hp.lattice, idx)
     return seq, sequence_cost(cp, bp, loads, rens, hp.soc0, seq.actions,
                               hp.terminal_soc_value)
@@ -271,12 +270,8 @@ def solve_myopic(hp: HorizonProblem) -> CandidateSequence:
     soc = hp.soc0
     idx = []
     for t in range(hp.n_steps):
-        soc_next = soc + bp.eta_ch * p_ch * bp.dt - (p_dis / bp.eta_dis) * bp.dt
-        stage = (cp.c_bat * p_dis * bp.dt
-                 + cp.c_backup * np.maximum(
-                     0.0, loads[t] - (rens[t] + p_dis - p_ch)) * bp.dt
-                 + cp.q_under * np.maximum(0.0, bp.soc_min - soc_next)
-                 + cp.r_over * np.maximum(0.0, soc_next - bp.soc_max))
+        soc_next = soc_after(bp, soc, p_ch, p_dis)
+        stage = stage_costs(cp, bp, loads[t], rens[t], soc_next, p_ch, p_dis)
         if hp.terminal_soc_value != 0.0:
             stage = stage + hp.terminal_soc_value * (bp.soc_max - soc_next)
         a = int(np.argmin(stage))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RankDeficient, TooFewSamples, ValidationError
+from .core import RankDeficient, TooFewSamples, ValidationError, check_finite_fields
 
 # Reference coefficients and default clamp ceiling.
 DEFAULT_COEFFS = (15.0, 51.7979, -0.047, -166.3272)
@@ -36,6 +36,7 @@ class RenewableModel:
     p_rated: float = DEFAULT_P_RATED
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.p_rated <= 0:
             raise ValidationError(f"p_rated must be positive, got {self.p_rated}")
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helios.battery import (clip_feasible, max_charge_kw, max_discharge_kw,
-                            step_soc, step_soc_perturbed)
+                            soc_after, step_soc)
 from helios.core import ControlAction
 
 
@@ -20,14 +20,17 @@ def test_idle_is_identity(battery):
     assert step_soc(battery, 500.0, ControlAction()) == 500.0
 
 
-def test_perturbed_zero_matches_plain(battery):
-    a = ControlAction(p_ch=100.0)
-    assert step_soc_perturbed(battery, 500.0, a, 0.0) == step_soc(battery, 500.0, a)
-
-
-def test_perturbed_adds_disturbance(battery):
-    assert step_soc_perturbed(battery, 500.0, ControlAction(), -10.0) == pytest.approx(490.0)
-    assert step_soc_perturbed(battery, 500.0, ControlAction(p_ch=100.0), 5.0) == pytest.approx(595.0)
+def test_soc_after_matches_step_soc_bit_for_bit(battery):
+    rng = np.random.default_rng(17)
+    socs = rng.uniform(-200.0, 1200.0, 500)
+    p_ch = np.where(rng.random(500) < 0.5, rng.uniform(0.0, 1000.0, 500), 0.0)
+    p_dis = np.where(p_ch == 0.0, rng.uniform(0.0, 100.0, 500), 0.0)
+    batch = soc_after(battery, socs, p_ch, p_dis)
+    for soc, ch, dis, got in zip(socs, p_ch, p_dis, batch):
+        want = step_soc(battery, float(soc), ControlAction(p_ch=float(ch),
+                                                           p_dis=float(dis)))
+        assert soc_after(battery, float(soc), float(ch), float(dis)) == want
+        assert got == want
 
 
 def test_step_is_linear_in_action(battery):

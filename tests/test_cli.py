@@ -144,3 +144,19 @@ def test_budget_exhaustion_exits_2(tmp_path):
                      "--set", "max_enumeration=0",
                      "--set", "soc_grid_step_kwh=0.00001"])
     assert code == 2
+
+
+def test_nan_load_in_csv_exits_1_naming_the_field(tmp_path, capsys):
+    csv = tmp_path / "s.csv"
+    cli_main(["generate-data", "--days", "1", "--seed", "1", "--out", str(csv)])
+    lines = csv.read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[2].split(",")  # hour 1
+    row[header.index("load_kw")] = "nan"
+    lines[2] = ",".join(row)
+    csv.write_text("\n".join(lines) + "\n")
+    for strategy in ("renewable_first", "battery_first", "fifty_fifty",
+                     "myopic_mpc", "standard_mpc", "ac_mpc", "eg_mpc"):
+        assert cli_main(["simulate", "--strategy", strategy, "--data", str(csv),
+                         "--out-dir", str(tmp_path / strategy)]) == 1
+        assert "load[1]" in capsys.readouterr().err

@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import pytest
 
 from helios.core import (BatteryParams, ControlAction, CostParams,
                          LengthMismatch, NegativeValue, Scenario,
-                         ValidationError, validate_scenario)
+                         ValidationError)
+from helios.renewable import RenewableModel
 
 
 def _series(n, value=1.0):
@@ -13,7 +16,7 @@ class TestScenario:
     def test_valid_24_step_scenario(self):
         s = Scenario(start_hour=0, steps=24, irradiance=_series(24, 0.5),
                      wind_speed=_series(24, 8.0), load=_series(24, 100.0))
-        assert validate_scenario(s) is s
+        assert s.steps == 24 and s.load[0] == 100.0
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -89,3 +92,29 @@ class TestCostParams:
     def test_penalties_must_dominate_backup(self):
         with pytest.raises(ValidationError):
             CostParams(c_backup=0.30, q_under=0.10, r_over=10.0)
+
+
+_BATTERY_KW = dict(capacity=1000.0, soc_min=100.0, soc_max=900.0, p_ch_max=100.0,
+                   p_dis_max=100.0, eta_ch=0.9, eta_dis=0.9, dt=1.0)
+_MODEL_KW = dict(a1=15.0, a2=50.0, a3=-0.05, a4=-160.0, p_rated=600.0)
+
+
+class TestNonFiniteInputRefused:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("series", ["irradiance", "wind_speed", "load"])
+    def test_scenario_series(self, series, bad):
+        kw = {name: list(_series(3, 5.0)) for name in
+              ("irradiance", "wind_speed", "load")}
+        kw[series][1] = bad
+        with pytest.raises(ValidationError, match=rf"{series}\[1\].*not finite"):
+            Scenario(start_hour=0, steps=3, **kw)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("cls, kw", [(CostParams, {}),
+                                         (BatteryParams, _BATTERY_KW),
+                                         (RenewableModel, _MODEL_KW)])
+    def test_every_parameter_field(self, cls, kw, bad):
+        cls(**kw)  # the base values are valid
+        for f in fields(cls):
+            with pytest.raises(ValidationError, match=rf"{cls.__name__}\.{f.name} "):
+                cls(**{**kw, f.name: bad})

@@ -5,8 +5,10 @@ import pytest
 
 from conftest import brute_force_optimum, make_problem
 from helios.core import ControlAction, CostParams, LengthMismatch, NegativeValue
+from helios.battery import soc_after
 from helios.costing import (CostBreakdown, backup_power, sequence_cost,
-                            sequence_costs_batch, step_cost, step_flows)
+                            sequence_costs_batch, stage_costs, step_cost,
+                            step_flows)
 from helios.horizon import solve_exact
 
 
@@ -56,6 +58,25 @@ class TestStepCost:
                        a=ControlAction(p_ch=50.0), soc_next=500.0,
                        billed_discharge=80.0)
         assert cb.battery == pytest.approx(0.05 * 80.0)
+
+    def test_stage_costs_match_step_cost_bit_for_bit(self, costs, battery):
+        # Random finite hours, SOC inside and on both sides of the band, and
+        # every action of a 10 kW lattice priced in one broadcast call.
+        rng = np.random.default_rng(23)
+        p_ch = np.concatenate([[0.0], np.arange(10.0, 1001.0, 10.0), np.zeros(10)])
+        p_dis = np.concatenate([np.zeros(101), np.arange(10.0, 101.0, 10.0)])
+        for cp in (costs, CostParams(c_bat=0.07, c_backup=0.4, q_under=12.0,
+                                      r_over=9.0)):
+            for _ in range(50):
+                load = float(rng.uniform(0.0, 500.0))
+                ren = float(rng.uniform(0.0, 600.0))
+                soc = float(rng.uniform(-100.0, 1100.0))
+                soc_next = soc_after(battery, soc, p_ch, p_dis)
+                got = stage_costs(cp, battery, load, ren, soc_next, p_ch, p_dis)
+                for ch, dis, s_next, g in zip(p_ch, p_dis, soc_next, got):
+                    a = ControlAction(p_ch=float(ch), p_dis=float(dis))
+                    assert g == step_cost(cp, battery, load, ren, a,
+                                          float(s_next)).total
 
 
 class TestStepFlows:

@@ -8,7 +8,8 @@ import pytest
 from conftest import make_problem
 from helios.core import CostParams, LengthMismatch, ValidationError
 from helios.costing import sequence_cost
-from helios.evo import (AcoParams, EvoParams, _Evaluator, _local_search_indices,
+from helios.evo import (AcoParams, EvoParams, _crossover_batch, _Evaluator,
+                        _local_search_indices, _mutate_batch, _select_batch,
                         aco_solve, crossover, eg_solve, lhs_init, local_search,
                         mutate, select)
 from helios.horizon import CandidateSequence, build_lattice, solve_exact
@@ -131,6 +132,15 @@ class TestSelect:
             sigma = np.sqrt(n * p[i] * (1 - p[i]))
             assert abs(counts[i] - n * p[i]) <= 3 * sigma
 
+    def test_draws_what_the_batch_kernel_draws(self):
+        rng = np.random.default_rng(4)
+        for seed in range(50):
+            costs = rng.uniform(0.0, 100.0, int(rng.integers(1, 30)))
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert select(costs, rng_a, epsilon=1e-3) == _select_batch(
+                costs, rng_b, 1e-3, 1)[0]
+            assert rng_a.random() == rng_b.random()  # same number of draws
+
 
 class TestCrossover:
     def test_identical_parents_reproduce_themselves(self, small_lattice):
@@ -173,6 +183,21 @@ class TestCrossover:
         with pytest.raises(LengthMismatch):
             crossover(a, b, 1, np.random.default_rng(0))
 
+    def test_draws_what_the_batch_kernel_draws(self, small_lattice):
+        rng = np.random.default_rng(5)
+        for seed in range(50):
+            n = int(rng.integers(2, 10))
+            ai, bi = rng.integers(0, len(small_lattice), (2, n))
+            a = CandidateSequence(tuple(small_lattice.actions[i] for i in ai))
+            b = CandidateSequence(tuple(small_lattice.actions[i] for i in bi))
+            k = int(rng.integers(1, n))
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            c1, c2 = crossover(a, b, k, rng_a)
+            w1, w2 = _crossover_batch(ai[None, :], bi[None, :], k, rng_b)
+            assert tuple(c1) == tuple(small_lattice.actions[i] for i in w1[0])
+            assert tuple(c2) == tuple(small_lattice.actions[i] for i in w2[0])
+            assert rng_a.random() == rng_b.random()  # same number of draws
+
 
 class TestMutate:
     def test_zero_probability_is_identity(self, small_lattice):
@@ -203,6 +228,18 @@ class TestMutate:
         total = n * trials
         sigma = np.sqrt(total * p_eff * (1 - p_eff))
         assert abs(changed - total * p_eff) <= 3 * sigma
+
+    def test_draws_what_the_batch_kernel_draws(self, small_lattice):
+        rng = np.random.default_rng(6)
+        for seed in range(50):
+            genome = rng.integers(0, len(small_lattice), int(rng.integers(1, 12)))
+            u = CandidateSequence(tuple(small_lattice.actions[i] for i in genome))
+            p_mut = float(rng.uniform(0.0, 1.0))
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = mutate(u, small_lattice, p_mut, rng_a)
+            want = _mutate_batch(genome[None, :], len(small_lattice), p_mut, rng_b)
+            assert tuple(got) == tuple(small_lattice.actions[i] for i in want[0])
+            assert rng_a.random() == rng_b.random()  # same number of draws
 
 
 class TestLocalSearch:
@@ -341,7 +378,8 @@ class TestAcoSolve:
         assert aco_solve(hp, ap) == aco_solve(hp, ap)
 
     def test_nan_load_raises_validation_error(self):
-        hp = make_problem([300.0, float("nan"), 220.0], [0.0, 90.0, 10.0])
+        # Scenario refuses a NaN load, so the NaN enters as a renewable.
+        hp = make_problem([300.0, 100.0, 220.0], [0.0, float("nan"), 10.0])
         hp = replace(hp, window=replace(hp.window, start_hour=7))
         with pytest.raises(ValidationError, match="finite cost.*hour 7"):
             aco_solve(hp, AcoParams(ants=5, iterations=3, seed=1))

@@ -115,7 +115,8 @@ class TestSolveExact:
             assert cost == oracle
 
     def test_nan_load_raises_validation_error_on_enumeration(self):
-        hp = make_problem([200.0, float("nan")], [100.0, 100.0])
+        # Scenario refuses a NaN load, so the NaN enters as a renewable.
+        hp = make_problem([200.0, 200.0], [100.0, float("nan")])
         hp = replace(hp, window=replace(hp.window, start_hour=5))
         assert len(hp.lattice) ** hp.n_steps <= DEFAULT_MAX_ENUMERATION
         with pytest.raises(ValidationError, match="finite cost.*hour 5"):
