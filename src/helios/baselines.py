@@ -11,7 +11,7 @@ each rule's cost signature without a physically impossible action.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .battery import max_charge_kw, max_discharge_kw
 from .core import BatteryParams, ControlAction, ValidationError
@@ -42,8 +42,7 @@ RULE_BASED = (StrategyKind.RENEWABLE_FIRST, StrategyKind.BATTERY_FIRST,
               StrategyKind.FIFTY_FIFTY)
 
 
-@dataclass(frozen=True)
-class PolicyDecision:
+class PolicyDecision(NamedTuple):
     """A rule's net action plus the gross discharge it should be billed for."""
 
     action: ControlAction
@@ -95,9 +94,8 @@ def battery_first_step(p: BatteryParams, soc: float, load: float,
                        renewable: float,
                        allow_backup_charging: bool = False) -> ControlAction:
     """Battery serves the load first; renewables are stored for later use."""
-    surplus = max(0.0, renewable - load)
-    gross_ch, gross_dis = _battery_first_parts(p, soc, load, renewable)
-    return _net_action(p, soc, gross_ch, gross_dis, surplus, allow_backup_charging)
+    return _netted(_battery_first_parts, p, soc, load, renewable,
+                   allow_backup_charging).action
 
 
 def _fifty_fifty_parts(p: BatteryParams, soc: float, load: float,
@@ -124,9 +122,17 @@ def fifty_fifty_step(p: BatteryParams, soc: float, load: float,
                      renewable: float,
                      allow_backup_charging: bool = False) -> ControlAction:
     """Split the load evenly between renewables and battery, spill shortfalls."""
+    return _netted(_fifty_fifty_parts, p, soc, load, renewable,
+                   allow_backup_charging).action
+
+
+def _netted(parts: Callable, p: BatteryParams, soc: float, load: float,
+            renewable: float, allow_backup_charging: bool) -> PolicyDecision:
+    """Net a rule's gross intents into one action, billed at the gross discharge."""
+    gross_ch, gross_dis = parts(p, soc, load, renewable)
     surplus = max(0.0, renewable - load)
-    gross_ch, gross_dis = _fifty_fifty_parts(p, soc, load, renewable)
-    return _net_action(p, soc, gross_ch, gross_dis, surplus, allow_backup_charging)
+    action = _net_action(p, soc, gross_ch, gross_dis, surplus, allow_backup_charging)
+    return PolicyDecision(action=action, billed_discharge=gross_dis)
 
 
 def rule_step(kind: StrategyKind, p: BatteryParams, soc: float, load: float,
@@ -137,11 +143,9 @@ def rule_step(kind: StrategyKind, p: BatteryParams, soc: float, load: float,
         action = renewable_first_step(p, soc, load, renewable, allow_backup_charging)
         return PolicyDecision(action=action, billed_discharge=action.p_dis)
     if kind is StrategyKind.BATTERY_FIRST:
-        action = battery_first_step(p, soc, load, renewable, allow_backup_charging)
-        _, gross_dis = _battery_first_parts(p, soc, load, renewable)
-        return PolicyDecision(action=action, billed_discharge=gross_dis)
+        return _netted(_battery_first_parts, p, soc, load, renewable,
+                       allow_backup_charging)
     if kind is StrategyKind.FIFTY_FIFTY:
-        action = fifty_fifty_step(p, soc, load, renewable, allow_backup_charging)
-        _, gross_dis = _fifty_fifty_parts(p, soc, load, renewable)
-        return PolicyDecision(action=action, billed_discharge=gross_dis)
+        return _netted(_fifty_fifty_parts, p, soc, load, renewable,
+                       allow_backup_charging)
     raise ValidationError(f"{kind} is not a rule-based strategy")

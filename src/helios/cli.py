@@ -114,7 +114,13 @@ def _load_run_inputs(args):
     return cfg, scenario, seed
 
 
-def _write_trace_csv(path: str, trace: DispatchTrace) -> None:
+def _write_lines(path: str, lines) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _write_run_files(out_dir: str, trace: DispatchTrace) -> None:
+    """trace_<strategy>.csv, plus convergence_<strategy>.csv for searchers."""
     lines = [TRACE_HEADER]
     for r in trace.records:
         lines.append(",".join([
@@ -123,17 +129,14 @@ def _write_trace_csv(path: str, trace: DispatchTrace) -> None:
             repr(r.backup), repr(r.curtailed), repr(r.soc),
             repr(r.cost.battery), repr(r.cost.backup), repr(r.cost.penalty),
             repr(r.cost.total)]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_convergence_csv(path: str, trace: DispatchTrace) -> None:
-    lines = ["hour,generation,best_cost"]
-    for hour, costs in trace.convergence:
-        for g, c in enumerate(costs):
-            lines.append(f"{hour},{g},{c!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    name = trace.strategy.value
+    _write_lines(os.path.join(out_dir, f"trace_{name}.csv"), lines)
+    if trace.convergence:
+        lines = ["hour,generation,best_cost"]
+        for hour, costs in trace.convergence:
+            for g, c in enumerate(costs):
+                lines.append(f"{hour},{g},{c!r}")
+        _write_lines(os.path.join(out_dir, f"convergence_{name}.csv"), lines)
 
 
 def _summary_pairs(trace: DispatchTrace, seed: int) -> list[tuple[str, str]]:
@@ -184,21 +187,14 @@ def _cmd_simulate(args) -> int:
     strategy = StrategyKind.parse(args.strategy)
     trace = run_closed_loop(scenario, strategy, cfg, seed=seed)
     os.makedirs(args.out_dir, exist_ok=True)
-    name = strategy.value
-    _write_trace_csv(os.path.join(args.out_dir, f"trace_{name}.csv"), trace)
-    if trace.convergence:
-        _write_convergence_csv(
-            os.path.join(args.out_dir, f"convergence_{name}.csv"), trace)
+    _write_run_files(args.out_dir, trace)
     pairs = _summary_pairs(trace, seed)
-    kv = "".join(f"{k} = {v}\n" for k, v in pairs)
-    text = "\n".join(f"{k:>20}: {v}" for k, v in pairs) + "\n"
-    with open(os.path.join(args.out_dir, f"summary_{name}.kv"), "w",
-              encoding="utf-8") as fh:
-        fh.write(kv)
-    with open(os.path.join(args.out_dir, f"summary_{name}.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(text)
-    print(text, end="")
+    text_lines = [f"{k:>20}: {v}" for k, v in pairs]
+    name = strategy.value
+    _write_lines(os.path.join(args.out_dir, f"summary_{name}.kv"),
+                 [f"{k} = {v}" for k, v in pairs])
+    _write_lines(os.path.join(args.out_dir, f"summary_{name}.txt"), text_lines)
+    print("\n".join(text_lines))
     return 0
 
 
@@ -214,11 +210,8 @@ def _cmd_compare(args) -> int:
     text_lines = [f"{'strategy':>16} {'total_cost':>14} {'backup_kwh':>12} "
                   f"{'curtailed_kwh':>14}"]
     for trace in result.traces:
+        _write_run_files(args.out_dir, trace)
         name = trace.strategy.value
-        _write_trace_csv(os.path.join(args.out_dir, f"trace_{name}.csv"), trace)
-        if trace.convergence:
-            _write_convergence_csv(
-                os.path.join(args.out_dir, f"convergence_{name}.csv"), trace)
         kv_lines.append(f"{name}.total_cost = {trace.total_cost!r}")
         kv_lines.append(f"{name}.total_backup_kwh = {trace.total_backup_kwh!r}")
         kv_lines.append(
@@ -226,14 +219,9 @@ def _cmd_compare(args) -> int:
         text_lines.append(f"{name:>16} {trace.total_cost:>14.4f} "
                           f"{trace.total_backup_kwh:>12.3f} "
                           f"{trace.total_curtailed_kwh:>14.3f}")
-    text = "\n".join(text_lines) + "\n"
-    with open(os.path.join(args.out_dir, "comparison.kv"), "w",
-              encoding="utf-8") as fh:
-        fh.write("\n".join(kv_lines) + "\n")
-    with open(os.path.join(args.out_dir, "comparison.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(text)
-    print(text, end="")
+    _write_lines(os.path.join(args.out_dir, "comparison.kv"), kv_lines)
+    _write_lines(os.path.join(args.out_dir, "comparison.txt"), text_lines)
+    print("\n".join(text_lines))
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .baselines import StrategyKind
-from .core import BatteryParams, CostParams, ParseError
+from .core import BatteryParams, CostParams, ParseError, ValidationError
 from .evo import AcoParams, EvoParams
 from .horizon import DEFAULT_DELTA_P, DEFAULT_MAX_ENUMERATION, DEFAULT_SOC_GRID_STEP
 from .renewable import RenewableModel, reference_model
@@ -45,6 +45,17 @@ class Config:
     soc_grid_step: float = DEFAULT_SOC_GRID_STEP
     max_enumeration: int = DEFAULT_MAX_ENUMERATION
     seed: int = 42
+
+    def __post_init__(self):
+        # Single-field checks only: --set lines are applied one at a time,
+        # so a cross-field check could refuse a valid config halfway through.
+        for name, ok, rule in (("horizon", self.horizon >= 1, ">= 1"),
+                               ("forecast_noise_kw", self.forecast_noise_kw >= 0, ">= 0"),
+                               ("soc_grid_step", self.soc_grid_step > 0, "> 0"),
+                               ("delta_p", self.delta_p > 0, "> 0")):
+            if not ok:
+                raise ValidationError(
+                    f"Config.{name} must be {rule}, got {getattr(self, name)}")
 
 
 # key -> (Config attribute holding the field or None for Config itself,

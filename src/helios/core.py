@@ -80,7 +80,8 @@ class Scenario:
         object.__setattr__(self, "irradiance", tuple(float(x) for x in self.irradiance))
         object.__setattr__(self, "wind_speed", tuple(float(x) for x in self.wind_speed))
         object.__setattr__(self, "load", tuple(float(x) for x in self.load))
-        _check_scenario(self)
+        for name in ("irradiance", "wind_speed", "load"):
+            check_series(name, getattr(self, name), self.steps)
 
     def window(self, start: int, length: int) -> "Scenario":
         """Slice of `length` steps beginning at local index `start` (no wraparound)."""
@@ -94,18 +95,16 @@ class Scenario:
         )
 
 
-def _check_scenario(s: Scenario) -> None:
-    for name, series in (("irradiance", s.irradiance),
-                         ("wind_speed", s.wind_speed),
-                         ("load", s.load)):
-        if len(series) != s.steps:
-            raise LengthMismatch(
-                f"{name} has {len(series)} entries, expected steps={s.steps}")
-        for i, v in enumerate(series):
-            if not math.isfinite(v):
-                raise ValidationError(f"{name}[{i}] = {v} is not finite")
-            if v < 0:
-                raise NegativeValue(f"{name}[{i}] = {v} is negative")
+def check_series(name: str, series, steps: int) -> None:
+    """Raise unless `series` holds `steps` finite values >= 0; names the index."""
+    if len(series) != steps:
+        raise LengthMismatch(
+            f"{name} has {len(series)} entries, expected steps={steps}")
+    for i, v in enumerate(series):
+        if not math.isfinite(v):
+            raise ValidationError(f"{name}[{i}] = {v} is not finite")
+        if v < 0:
+            raise NegativeValue(f"{name}[{i}] = {v} is negative")
 
 
 def check_finite_fields(obj) -> None:

@@ -12,11 +12,12 @@ the battery (zero by default, and always >= 0 so search methods that weight
 by 1/J stay well defined).
 
 The formula has two implementations. step_cost is the scalar one, which the
-engine books applied hours with and which sequence_cost sums. stage_costs is
-the one vectorised kernel: sequence_costs_batch, the exact DP and myopic
-solvers and the ant colony all price their candidates through it, with the
-next SOC from battery.soc_after computed by the caller. The two agree bit for
-bit on finite input.
+engine books applied hours with and which sequence_cost sums; sequence_cost
+serves HorizonProblem.cost_of and the tests, as the scalar reference.
+stage_costs is the one vectorised kernel: sequence_costs_batch (behind
+HorizonProblem.costs_of), the DP and myopic solvers and the ant colony price
+candidates through it, with the next SOC from battery.soc_after computed by
+the caller. The two agree bit for bit on finite input.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Hourly CSV ingestion and synthetic scenario generation.
 
 The canonical file is an hourly CSV with header
-`hour,irradiance_kwh_m2,wind_ms,load_kw`. Files may carry an extra
+`hour,irradiance_kwh_m2,wind_ms,load_kw`, one row per hour: row i's hour
+must be row 0's hour + i. Files may carry an extra
 `renewable_kw` column with observed generation; the regression fit requires
 it, the simulator ignores it. Floats are written with repr() so a write ->
 read round trip is bit exact.
@@ -54,12 +55,15 @@ def load_hourly_csv(path: str) -> Scenario:
             raise ParseError(f"missing column '{col}' in '{path}'")
     if not rows:
         raise ParseError(f"'{path}' contains a header but no data rows")
+    start_hour = int(_parse_float(rows[0], "hour", 0))
     irr, wind, load = [], [], []
     for i, row in enumerate(rows):
+        if _parse_float(row, "hour", i) != start_hour + i:
+            raise ParseError(f"row {i}: hour {row['hour']} breaks the contiguous "
+                             f"hours from {start_hour} (expected {start_hour + i})")
         irr.append(_parse_float(row, "irradiance_kwh_m2", i))
         wind.append(_parse_float(row, "wind_ms", i))
         load.append(_parse_float(row, "load_kw", i))
-    start_hour = int(_parse_float(rows[0], "hour", 0))
     return Scenario(start_hour=start_hour, steps=len(rows),
                     irradiance=tuple(irr), wind_speed=tuple(wind),
                     load=tuple(load))

@@ -1,26 +1,29 @@
 """Closed-loop receding-horizon simulation.
 
-Each hour the engine predicts renewable power, asks the configured strategy
-for an action (rules act on the current hour; optimizers solve the N-step
-window and yield its first action), hard-clips the action against the real
-state, books the resulting flows and costs, and steps the battery. The
+The engine predicts renewable power once over the scenario. Each hour it
+asks the configured strategy for an action (rules act on the current hour;
+optimizers solve the N-step window, planned against that window's slice of
+the forecast, and yield its first action), hard-clips the action against the
+real state, books the resulting flows and costs, and steps the battery. The
 applied trajectory is recorded as a DispatchTrace.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import RULE_BASED, PolicyDecision, StrategyKind, rule_step
+from .baselines import RULE_BASED, StrategyKind, rule_step
 from .battery import clip_feasible, step_soc
 from .config import Config
 from .core import ControlAction, Scenario, ValidationError
 from .costing import CostBreakdown, step_cost, step_flows
 from .evo import aco_solve, eg_solve
 from .horizon import HorizonProblem, build_lattice, solve_exact, solve_myopic
-from .renewable import predict
+# predict stays in this namespace for callers that patch helios.engine.predict.
+from .renewable import predict, predict_series  # noqa: F401
 
 # Stride between per-window seeds within one closed-loop run.
 _WINDOW_SEED_STRIDE = 1_000_003
@@ -64,22 +67,20 @@ def _derive_window_seed(run_seed: int, t: int) -> int:
 
 
 def _window_problem(cfg: Config, scenario: Scenario, t: int, soc: float,
-                    lattice, noise_rng: np.random.Generator | None
-                    ) -> HorizonProblem:
+                    lattice, forecast: list[float],
+                    noise_rng: np.random.Generator | None) -> HorizonProblem:
     window = scenario.window(t, cfg.horizon)
-    override = None
+    predicted = forecast[t:t + window.steps]
     if noise_rng is not None and window.steps > 1:
-        predicted = [predict(cfg.renewable, irr, v)
-                     for irr, v in zip(window.irradiance, window.wind_speed)]
         # The current hour is observed; only future steps carry forecast noise.
         noise = noise_rng.uniform(-cfg.forecast_noise_kw, cfg.forecast_noise_kw,
                                   size=window.steps - 1)
-        override = tuple([predicted[0]] + [max(0.0, p + w)
-                                           for p, w in zip(predicted[1:], noise)])
+        predicted = [predicted[0]] + [max(0.0, p + w)
+                                      for p, w in zip(predicted[1:], noise)]
     return HorizonProblem(window=window, soc0=soc, battery=cfg.battery,
                           costs=cfg.costs, lattice=lattice,
                           renewable_model=cfg.renewable,
-                          renewable_override=override,
+                          renewable_override=tuple(predicted),
                           terminal_soc_value=cfg.terminal_soc_value)
 
 
@@ -116,6 +117,9 @@ def run_closed_loop(scenario: Scenario, strategy: StrategyKind, cfg: Config,
     lattice = build_lattice(bp.p_ch_max, bp.p_dis_max, cfg.delta_p)
     noise_rng = (np.random.default_rng(run_seed)
                  if cfg.forecast_noise_kw > 0 else None)
+    forecast = predict_series(cfg.renewable, scenario.irradiance,
+                              scenario.wind_speed)
+    rule_based = strategy in RULE_BASED
 
     soc = cfg.initial_soc
     records: list[HourRecord] = []
@@ -125,27 +129,25 @@ def run_closed_loop(scenario: Scenario, strategy: StrategyKind, cfg: Config,
     total_curtailed = 0.0
     for t in range(scenario.steps):
         load = scenario.load[t]
-        renewable = predict(cfg.renewable, scenario.irradiance[t],
-                            scenario.wind_speed[t])
-        if strategy in RULE_BASED:
-            decision = rule_step(strategy, bp, soc, load, renewable,
-                                 cfg.allow_backup_charging)
+        renewable = forecast[t]
+        if rule_based:
+            # Rules are billed for the gross discharge they asked for.
+            action, billed = rule_step(strategy, bp, soc, load, renewable,
+                                       cfg.allow_backup_charging)
         else:
-            hp = _window_problem(cfg, scenario, t, soc, lattice, noise_rng)
+            hp = _window_problem(cfg, scenario, t, soc, lattice, forecast,
+                                 noise_rng)
             action, window_trace = _optimizer_action(
                 strategy, cfg, hp, _derive_window_seed(run_seed, t))
             if window_trace:
                 convergence.append((scenario.start_hour + t, window_trace))
-            decision = PolicyDecision(action=action,
-                                      billed_discharge=action.p_dis)
+            billed = None  # step_cost bills the applied discharge
 
         surplus = max(0.0, renewable - load)
-        clipped = clip_feasible(bp, soc, decision.action, surplus,
+        clipped = clip_feasible(bp, soc, action, surplus,
                                 cfg.allow_backup_charging)
         flows = step_flows(load, renewable, clipped)
         applied = ControlAction(p_ch=flows.p_ch, p_dis=flows.p_dis)
-        billed = (decision.billed_discharge if strategy in RULE_BASED
-                  else applied.p_dis)
         soc_next = step_soc(bp, soc, applied)
         cost = step_cost(cfg.costs, bp, load, renewable, applied, soc_next,
                          billed_discharge=billed)
@@ -158,6 +160,10 @@ def run_closed_loop(scenario: Scenario, strategy: StrategyKind, cfg: Config,
             p_ch=flows.p_ch, p_dis=flows.p_dis, backup=flows.backup,
             curtailed=flows.curtailed, soc=soc, cost=cost))
         total_cost += cost.total
+        if not math.isfinite(total_cost):
+            raise ValidationError(
+                f"hour {scenario.start_hour + t}: booking its cost {cost.total} "
+                f"makes the run's total cost {total_cost}, which is not finite")
         total_backup += flows.backup * bp.dt
         total_curtailed += flows.curtailed * bp.dt
 

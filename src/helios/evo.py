@@ -5,13 +5,13 @@ fitness-proportionate selection, multi-point crossover, per-gene mutation,
 elitist replacement, and a first-improvement local search on the incumbent
 best. Each operator has one implementation, a batch kernel over index rows
 (_lhs_indices, _select_batch, _crossover_batch, _mutate_batch,
-_local_search_indices) that eg_solve runs; the object-level lhs_init,
-select, crossover, mutate and local_search are thin wrappers over them that
-draw the same random numbers. The local search scores all replacements at
-one gene position in a single batch, and charges its budget only for the
-evaluations up to and including the first improvement, as a one-at-a-time
-scan would. aco_solve
-is the ant-colony comparison arm: Ant System on the layered (stage, action)
+_local_search_indices) that eg_solve runs; the object-level crossover and
+mutate are thin wrappers over them that draw the same random numbers.
+Candidates are priced by the window's own objective, HorizonProblem.costs_of.
+The local search scores all replacements at one gene position in a single
+batch, and charges its budget only for the evaluations up to and including
+the first improvement, as a one-at-a-time scan would. aco_solve is the
+ant-colony comparison arm: Ant System on the layered (stage, action)
 construction graph; its per-step heuristic prices actions with
 battery.soc_after and costing.stage_costs, the kernels every solver shares.
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .battery import soc_after
 from .core import LengthMismatch, ValidationError
-from .costing import sequence_costs_batch, stage_costs
+from .costing import stage_costs
 from .horizon import (ActionLattice, CandidateSequence, HorizonProblem,
                       sequence_from_indices)
 
@@ -107,39 +107,13 @@ def _lhs_indices(rng: np.random.Generator, m: int, n_steps: int,
     return out
 
 
-def lhs_init(lattice: ActionLattice, n_steps: int, m: int,
-             seed) -> list[CandidateSequence]:
-    """Latin hypercube population of m candidate sequences.
-
-    With m == len(lattice) every gene position holds each action exactly
-    once. `seed` may be an int or an existing numpy Generator.
-    """
-    if m < 1:
-        raise ValidationError(f"population size must be >= 1, got {m}")
-    rng = np.random.default_rng(seed)
-    idx = _lhs_indices(rng, m, n_steps, len(lattice))
-    return [sequence_from_indices(lattice, row) for row in idx]
-
-
-def _fitness(costs: np.ndarray, epsilon: float) -> np.ndarray:
+def _select_batch(costs: np.ndarray, rng: np.random.Generator, epsilon: float,
+                  count: int) -> np.ndarray:
+    """count fitness-proportionate parent indices: P(i) = f_i / sum(f)."""
     # Cost-to-fitness transform for a minimization objective: affine
     # inversion against the generation's worst, offset so equal costs
     # still select uniformly.
-    return (costs.max() - costs) + epsilon
-
-
-def select(costs, rng: np.random.Generator, epsilon: float = 1e-9) -> int:
-    """Fitness-proportionate parent index: P(i) = f_i / sum(f)."""
-    costs = np.asarray(costs, dtype=float)
-    if costs.size == 0:
-        raise ValidationError("cannot select from an empty population")
-    return int(_select_batch(costs, rng, epsilon, 1)[0])
-
-
-def _select_batch(costs: np.ndarray, rng: np.random.Generator, epsilon: float,
-                  count: int) -> np.ndarray:
-    f = _fitness(costs, epsilon)
-    cum = np.cumsum(f)
+    cum = np.cumsum((costs.max() - costs) + epsilon)
     u = rng.random(count) * cum[-1]
     return np.minimum(np.searchsorted(cum, u, side="right"), costs.size - 1)
 
@@ -196,24 +170,7 @@ def _mutate_batch(genomes: np.ndarray, n_actions: int, p_mut: float,
     return np.where(coins < p_mut, repl, genomes)
 
 
-class _Evaluator:
-    """Caches the window data so repeated candidate evaluations stay cheap."""
-
-    def __init__(self, hp: HorizonProblem):
-        self.hp = hp
-        self.loads = list(hp.window.load)
-        self.rens = hp.renewables()
-        self.p_ch = hp.lattice.p_ch_array()
-        self.p_dis = hp.lattice.p_dis_array()
-
-    def batch(self, idx: np.ndarray) -> np.ndarray:
-        return sequence_costs_batch(self.hp.costs, self.hp.battery, self.loads,
-                                    self.rens, self.hp.soc0,
-                                    self.p_ch[idx], self.p_dis[idx],
-                                    self.hp.terminal_soc_value)
-
-
-def _local_search_indices(ev: _Evaluator, genome: np.ndarray, cost: float,
+def _local_search_indices(hp: HorizonProblem, genome: np.ndarray, cost: float,
                           budget: int) -> tuple[np.ndarray, float]:
     """First-improvement hill climb over single-gene replacements.
 
@@ -227,7 +184,7 @@ def _local_search_indices(ev: _Evaluator, genome: np.ndarray, cost: float,
     out or a full sweep finds no improvement.
     """
     n = genome.size
-    order = np.arange(ev.p_ch.size)
+    order = np.arange(len(hp.lattice))
     current = genome.copy()
     cur_cost = cost
     evals = 0
@@ -237,7 +194,7 @@ def _local_search_indices(ev: _Evaluator, genome: np.ndarray, cost: float,
         repl = order[order != current[pos]][:budget - evals]
         cands = np.repeat(current[None, :], repl.size, axis=0)
         cands[:, pos] = repl
-        costs = ev.batch(cands)
+        costs = hp.costs_of(cands)
         better = np.flatnonzero(costs < cur_cost)
         if better.size:
             j = int(better[0])
@@ -250,19 +207,6 @@ def _local_search_indices(ev: _Evaluator, genome: np.ndarray, cost: float,
             stale_positions += 1
         pos = (pos + 1) % n
     return current, cur_cost
-
-
-def local_search(u: CandidateSequence, hp: HorizonProblem,
-                 budget: int) -> CandidateSequence:
-    """Refine one candidate; the result never costs more than the input."""
-    if budget <= 0:
-        return u
-    ev = _Evaluator(hp)
-    index_of = {a: i for i, a in enumerate(hp.lattice.actions)}
-    genome = np.array([index_of[a] for a in u], dtype=np.int64)
-    refined, _ = _local_search_indices(ev, genome, ev.batch(genome[None, :])[0],
-                                       budget)
-    return sequence_from_indices(hp.lattice, refined)
 
 
 # =============================================================================
@@ -278,13 +222,12 @@ def eg_solve(hp: HorizonProblem, ep: EvoParams
     best-cost trace (monotone nonincreasing by elitism).
     """
     rng = np.random.default_rng(ep.seed)
-    ev = _Evaluator(hp)
     n = hp.n_steps
     n_actions = len(hp.lattice)
     m = ep.population
 
     pop = _lhs_indices(rng, m, n, n_actions)
-    costs = ev.batch(pop)
+    costs = hp.costs_of(pop)
     bi = int(np.argmin(costs))
     best_genome = pop[bi].copy()
     best_cost = float(costs[bi])
@@ -307,7 +250,7 @@ def eg_solve(hp: HorizonProblem, ep: EvoParams
         children[1::2] = c2
         children = children[:n_children]
         children = _mutate_batch(children, n_actions, ep.p_mut, rng)
-        child_costs = ev.batch(children)
+        child_costs = hp.costs_of(children)
 
         keep = np.argsort(costs, kind="stable")[:ep.elite]
         pop = np.concatenate([pop[keep], children])
@@ -324,7 +267,7 @@ def eg_solve(hp: HorizonProblem, ep: EvoParams
         if ep.local_search_budget > 0 and (
                 last_searched is None or not np.array_equal(pop[bi], last_searched)):
             refined, refined_cost = _local_search_indices(
-                ev, pop[bi], float(costs[bi]), ep.local_search_budget)
+                hp, pop[bi], float(costs[bi]), ep.local_search_budget)
             last_searched = refined.copy()
             if refined_cost < costs[bi]:
                 pop[bi] = refined
@@ -335,6 +278,7 @@ def eg_solve(hp: HorizonProblem, ep: EvoParams
 
         trace.append(best_cost)
 
+    best_cost = hp.require_finite(best_cost)
     return sequence_from_indices(hp.lattice, best_genome), best_cost, trace
 
 
@@ -350,13 +294,12 @@ def aco_solve(hp: HorizonProblem, ap: AcoParams
     and the per-iteration best-ever trace.
     """
     rng = np.random.default_rng(ap.seed)
-    ev = _Evaluator(hp)
     bp = hp.battery
     cp = hp.costs
     n = hp.n_steps
     n_actions = len(hp.lattice)
-    p_ch = ev.p_ch
-    p_dis = ev.p_dis
+    p_ch = hp.lattice.p_ch
+    p_dis = hp.lattice.p_dis
 
     tau = np.full((n, n_actions), ap.pheromone_init, dtype=float)
     best_genome: np.ndarray | None = None
@@ -370,8 +313,8 @@ def aco_solve(hp: HorizonProblem, ap: AcoParams
         paths = np.empty((ap.ants, n), dtype=np.int64)
         for t in range(n):
             soc_next = soc_after(bp, socs[:, None], p_ch, p_dis)
-            stage = stage_costs(cp, bp, ev.loads[t], ev.rens[t], soc_next,
-                                p_ch, p_dis)
+            stage = stage_costs(cp, bp, hp.window.load[t], hp.forecast[t],
+                                soc_next, p_ch, p_dis)
             heuristic = 1.0 / (1.0 + stage)
             weight = tau[t][None, :] ** ap.alpha * heuristic ** ap.beta
             degenerate = weight.sum(axis=1) == 0.0
@@ -400,8 +343,5 @@ def aco_solve(hp: HorizonProblem, ap: AcoParams
 
         trace.append(best_cost)
 
-    if best_genome is None:  # no path had a finite cost, e.g. a NaN load
-        raise ValidationError(
-            "no candidate had a finite cost in the window starting at hour "
-            f"{hp.window.start_hour}")
+    best_cost = hp.require_finite(best_cost)
     return sequence_from_indices(hp.lattice, best_genome), best_cost, trace

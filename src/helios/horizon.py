@@ -6,21 +6,25 @@ the budget, otherwise backward dynamic programming on a discretized SOC grid
 (next-SOC snapped to the nearest node). It doubles as the "standard MPC"
 strategy and as the oracle that the metaheuristics are tested against.
 
-Every solver here prices candidates with the package's one SOC update,
+HorizonProblem holds a window's data, its forecast cached once, and its
+batch objective costs_of; ActionLattice caches read-only p_ch/p_dis arrays.
+Every solver prices candidates with the package's one SOC update,
 battery.soc_after, and its one vectorised step cost, costing.stage_costs:
-enumeration through costing.sequence_costs_batch, DP and the myopic arm by
-calling the kernel on the (node or state) x action grid directly.
+enumeration, EG and DP's final plan through costs_of, the DP sweep and the
+myopic arm by calling the kernel on the (node or state) x action grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .battery import soc_after
 from .core import (BatteryParams, BudgetExceeded, ControlAction, CostParams,
-                   InvalidStep, Scenario, ValidationError)
+                   InvalidStep, Scenario, ValidationError, check_series)
 from .costing import sequence_cost, sequence_costs_batch, stage_costs
 from .renewable import RenewableModel, predict_series
 
@@ -51,11 +55,19 @@ class ActionLattice:
     def __len__(self) -> int:
         return len(self.actions)
 
-    def p_ch_array(self) -> np.ndarray:
-        return np.array([a.p_ch for a in self.actions], dtype=float)
+    @cached_property
+    def p_ch(self) -> np.ndarray:
+        return _read_only([a.p_ch for a in self.actions])
 
-    def p_dis_array(self) -> np.ndarray:
-        return np.array([a.p_dis for a in self.actions], dtype=float)
+    @cached_property
+    def p_dis(self) -> np.ndarray:
+        return _read_only([a.p_dis for a in self.actions])
+
+
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 def _levels(p_max: float, delta_p: float) -> list[float]:
@@ -107,10 +119,11 @@ class HorizonProblem:
     """One receding-horizon optimization instance.
 
     renewable_override, when given, replaces the model prediction per step
-    (the engine uses it to inject forecast noise). terminal_soc_value adds
-    terminal_soc_value * (soc_max - soc_N) to every candidate's cost so that
-    plans near the window edge still see the value of stored energy; zero by
-    default.
+    and must hold window.steps finite values >= 0; the engine passes each
+    window's slice of its one forecast, with noise when configured.
+    terminal_soc_value adds terminal_soc_value * (soc_max - soc_N) to every
+    candidate's cost so that plans near the window edge still see the value
+    of stored energy; zero by default.
     """
 
     window: Scenario
@@ -125,23 +138,46 @@ class HorizonProblem:
     def __post_init__(self):
         if self.window.steps < 1:
             raise ValidationError("horizon window must have at least one step")
+        if self.renewable_override is not None:
+            check_series("renewable_override", self.renewable_override,
+                         self.window.steps)
 
     @property
     def n_steps(self) -> int:
         return self.window.steps
 
-    def renewables(self) -> list[float]:
+    @cached_property
+    def forecast(self) -> tuple[float, ...]:
         """Per-step renewable power the problem plans against."""
         if self.renewable_override is not None:
-            return list(self.renewable_override)
-        return predict_series(self.renewable_model, self.window.irradiance,
-                              self.window.wind_speed)
+            return tuple(self.renewable_override)
+        return tuple(predict_series(self.renewable_model, self.window.irradiance,
+                                    self.window.wind_speed))
+
+    def renewables(self) -> list[float]:
+        """A copy of the forecast."""
+        return list(self.forecast)
 
     def cost_of(self, u: CandidateSequence | list[ControlAction]) -> float:
         """Window objective J(u) for one candidate."""
         return sequence_cost(self.costs, self.battery, self.window.load,
-                             self.renewables(), self.soc0, list(u),
+                             self.forecast, self.soc0, list(u),
                              self.terminal_soc_value)
+
+    def costs_of(self, idx: np.ndarray) -> np.ndarray:
+        """J for each row of an (n_candidates, n_steps) lattice index array."""
+        return sequence_costs_batch(self.costs, self.battery, self.window.load,
+                                    self.forecast, self.soc0,
+                                    self.lattice.p_ch[idx], self.lattice.p_dis[idx],
+                                    self.terminal_soc_value)
+
+    def require_finite(self, cost: float) -> float:
+        """The best cost a solver found; raises when it is not finite."""
+        if not math.isfinite(cost):
+            raise ValidationError(
+                "no candidate had a finite cost in the window starting at hour "
+                f"{self.window.start_hour}")
+        return cost
 
 
 def sequence_from_indices(lattice: ActionLattice, idx) -> CandidateSequence:
@@ -176,10 +212,6 @@ def solve_exact(hp: HorizonProblem,
 def _solve_enumeration(hp: HorizonProblem) -> tuple[CandidateSequence, float]:
     n_actions = len(hp.lattice)
     n_sequences = n_actions ** hp.n_steps
-    loads = hp.window.load
-    rens = hp.renewables()
-    p_ch = hp.lattice.p_ch_array()
-    p_dis = hp.lattice.p_dis_array()
     # Sequence number k in lexicographic order has digit t equal to
     # (k // n_actions**(n_steps-1-t)) % n_actions.
     radix = n_actions ** np.arange(hp.n_steps - 1, -1, -1, dtype=np.int64)
@@ -190,16 +222,12 @@ def _solve_enumeration(hp: HorizonProblem) -> tuple[CandidateSequence, float]:
     for start in range(0, n_sequences, _ENUM_CHUNK):
         stop = min(start + _ENUM_CHUNK, n_sequences)
         idx = (np.arange(start, stop, dtype=np.int64)[:, None] // radix) % n_actions
-        costs = sequence_costs_batch(hp.costs, hp.battery, loads, rens, hp.soc0,
-                                     p_ch[idx], p_dis[idx], hp.terminal_soc_value)
+        costs = hp.costs_of(idx)
         i = int(np.argmin(costs))
         if costs[i] < best_cost:
             best_cost = float(costs[i])
             best_idx = idx[i]
-    if best_idx is None:  # no sequence had a finite cost, e.g. a NaN load
-        raise ValidationError(
-            "no candidate had a finite cost in the window starting at hour "
-            f"{hp.window.start_hour}")
+    best_cost = hp.require_finite(best_cost)
     return sequence_from_indices(hp.lattice, best_idx), best_cost
 
 
@@ -216,9 +244,9 @@ def _solve_dp(hp: HorizonProblem, soc_grid_step: float
         raise BudgetExceeded(
             f"DP table {len(grid)}x{n}x{n_actions} exceeds {MAX_DP_TABLE}")
     loads = hp.window.load
-    rens = hp.renewables()
-    p_ch = hp.lattice.p_ch_array()
-    p_dis = hp.lattice.p_dis_array()
+    rens = hp.forecast
+    p_ch = hp.lattice.p_ch
+    p_dis = hp.lattice.p_dis
 
     def snap(soc: np.ndarray) -> np.ndarray:
         # Nearest node, round half up, clamped to the grid.
@@ -249,9 +277,8 @@ def _solve_dp(hp: HorizonProblem, soc_grid_step: float
         a = int(policy[t][node])
         idx.append(a)
         node = int(snap(np.array([soc_after(bp, grid[node], p_ch[a], p_dis[a])]))[0])
-    seq = sequence_from_indices(hp.lattice, idx)
-    return seq, sequence_cost(cp, bp, loads, rens, hp.soc0, seq.actions,
-                              hp.terminal_soc_value)
+    cost = hp.require_finite(float(hp.costs_of(np.array([idx]))[0]))
+    return sequence_from_indices(hp.lattice, idx), cost
 
 
 def solve_myopic(hp: HorizonProblem) -> CandidateSequence:
@@ -264,9 +291,9 @@ def solve_myopic(hp: HorizonProblem) -> CandidateSequence:
     bp = hp.battery
     cp = hp.costs
     loads = hp.window.load
-    rens = hp.renewables()
-    p_ch = hp.lattice.p_ch_array()
-    p_dis = hp.lattice.p_dis_array()
+    rens = hp.forecast
+    p_ch = hp.lattice.p_ch
+    p_dis = hp.lattice.p_dis
     soc = hp.soc0
     idx = []
     for t in range(hp.n_steps):

@@ -160,3 +160,43 @@ def test_nan_load_in_csv_exits_1_naming_the_field(tmp_path, capsys):
         assert cli_main(["simulate", "--strategy", strategy, "--data", str(csv),
                          "--out-dir", str(tmp_path / strategy)]) == 1
         assert "load[1]" in capsys.readouterr().err
+
+
+STRATEGIES = ("renewable_first", "battery_first", "fifty_fifty", "myopic_mpc",
+              "standard_mpc", "ac_mpc", "eg_mpc")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow warns
+def test_overflowing_load_in_csv_exits_1(tmp_path, capsys):
+    # 1.7e308 kW is finite, so Scenario accepts it, but the costs overflow.
+    csv = tmp_path / "s.csv"
+    csv.write_text("hour,irradiance_kwh_m2,wind_ms,load_kw\n"
+                   + "".join(f"{h},0.0,8.0,1.7e308\n" for h in range(6)))
+    for strategy in STRATEGIES:
+        assert cli_main(["simulate", "--strategy", strategy, "--data", str(csv),
+                         "--out-dir", str(tmp_path / strategy)]) == 1
+        assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting,field", [
+    ("horizon_steps=0", "Config.horizon"),
+    ("forecast_noise_kw=-1", "Config.forecast_noise_kw"),
+    ("soc_grid_step_kwh=0", "Config.soc_grid_step"),
+    ("lattice_delta_p_kw=-10", "Config.delta_p"),
+])
+def test_bad_config_scalar_exits_1_naming_the_field(tmp_path, capsys, setting, field):
+    assert cli_main(["simulate", "--strategy", "renewable_first",
+                     "--data", "synthetic", "--out-dir", str(tmp_path / "o"),
+                     "--set", setting]) == 1
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hours,row", [([0, 1, 3, 4], 2), ([0, 2, 1, 3], 1)],
+                         ids=["gap", "swapped"])
+def test_non_contiguous_csv_hours_exit_1_naming_the_row(tmp_path, capsys, hours, row):
+    csv = tmp_path / "s.csv"
+    csv.write_text("hour,irradiance_kwh_m2,wind_ms,load_kw\n"
+                   + "".join(f"{h},0.5,8.0,200.0\n" for h in hours))
+    assert cli_main(["simulate", "--strategy", "renewable_first", "--data", str(csv),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+    assert f"row {row}:" in capsys.readouterr().err

@@ -100,6 +100,24 @@ class TestRunClosedLoop:
         check_trace_invariants(t1, cfg)
 
 
+    @pytest.mark.parametrize("noise", [0.0, 30.0])
+    def test_renewables_are_predicted_once_per_run(self, monkeypatch, noise):
+        import helios.engine
+        import helios.horizon
+        calls = []
+        series = helios.engine.predict_series
+        monkeypatch.setattr(helios.engine, "predict_series",
+                            lambda *args: calls.append(args) or series(*args))
+
+        def refuse(*args):
+            raise AssertionError("a window re-predicted its renewables")
+        monkeypatch.setattr(helios.horizon, "predict_series", refuse)
+        cfg = replace(Config(), horizon=4, forecast_noise_kw=noise)
+        for kind in (StrategyKind.STANDARD_MPC, StrategyKind.MYOPIC_MPC):
+            run_closed_loop(reference_scenario(), kind, cfg, seed=5)
+        assert len(calls) == 2
+
+
 class TestBilling:
     def test_battery_first_pays_for_gross_cycling_while_net_charging(self):
         # surplus hour: Battery-First nets to a pure charge action, yet the

@@ -1,17 +1,14 @@
 """Evolutionary operators, the EG solver, and the ant-colony arm."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from conftest import make_problem
+from conftest import action_indices, make_problem
 from helios.core import CostParams, LengthMismatch, ValidationError
 from helios.costing import sequence_cost
-from helios.evo import (AcoParams, EvoParams, _crossover_batch, _Evaluator,
+from helios.evo import (AcoParams, EvoParams, _crossover_batch, _lhs_indices,
                         _local_search_indices, _mutate_batch, _select_batch,
-                        aco_solve, crossover, eg_solve, lhs_init, local_search,
-                        mutate, select)
+                        aco_solve, crossover, eg_solve, mutate)
 from helios.horizon import CandidateSequence, build_lattice, solve_exact
 
 
@@ -54,10 +51,9 @@ def scalar_local_search(hp, genome, cost, budget):
 
 def assert_batched_climb_matches_scalar(hp, genome, cost, budgets):
     """Per budget, the batched climb returns the reference's genome and cost."""
-    ev = _Evaluator(hp)
     results = []
     for budget in budgets:
-        got, got_cost = _local_search_indices(ev, genome, cost, budget)
+        got, got_cost = _local_search_indices(hp, genome, cost, budget)
         want, want_cost = scalar_local_search(hp, genome, cost, budget)
         assert got.tolist() == want.tolist()
         assert got_cost == want_cost
@@ -86,37 +82,32 @@ class TestParams:
 class TestLhsInit:
     def test_population_matching_lattice_size_is_a_permutation(self, small_lattice):
         m = len(small_lattice)
-        pop = lhs_init(small_lattice, n_steps=5, m=m, seed=3)
+        pop = _lhs_indices(np.random.default_rng(3), m, 5, m)
         for j in range(5):
-            column = sorted(small_lattice.actions.index(u[j]) for u in pop)
-            assert column == list(range(m))
+            assert sorted(pop[:, j]) == list(range(m))
 
     def test_stratified_bins_each_hold_one_sample(self):
-        lat = build_lattice(200.0, 150.0, 50.0)  # 8 actions
-        assert len(lat) == 8
-        pop = lhs_init(lat, n_steps=6, m=4, seed=9)
+        pop = _lhs_indices(np.random.default_rng(9), 4, 6, 8)
         for j in range(6):
-            bins = sorted(lat.actions.index(u[j]) // 2 for u in pop)
-            assert bins == [0, 1, 2, 3]
+            assert sorted(pop[:, j] // 2) == [0, 1, 2, 3]
 
     def test_single_member_population(self, small_lattice):
-        pop = lhs_init(small_lattice, n_steps=3, m=1, seed=0)
-        assert len(pop) == 1
-        assert len(pop[0]) == 3
+        pop = _lhs_indices(np.random.default_rng(0), 1, 3, len(small_lattice))
+        assert pop.shape == (1, 3)
+        assert np.all((0 <= pop) & (pop < len(small_lattice)))
 
 
 class TestSelect:
     def test_equal_costs_select_uniformly(self):
         rng = np.random.default_rng(21)
-        counts = np.zeros(4)
-        for _ in range(20_000):
-            counts[select([5.0, 5.0, 5.0, 5.0], rng)] += 1
+        picks = _select_batch(np.full(4, 5.0), rng, 1e-9, 20_000)
+        counts = np.bincount(picks, minlength=4)
         assert np.all(np.abs(counts - 5000) < 3 * np.sqrt(20_000 * 0.25 * 0.75))
 
     def test_dominant_candidate_nearly_always_wins(self):
         rng = np.random.default_rng(2)
-        picks = [select([0.0, 10.0], rng, epsilon=1e-9) for _ in range(2000)]
-        assert sum(picks) == 0  # index 1 has fitness ~1e-9 of the total
+        picks = _select_batch(np.array([0.0, 10.0]), rng, 1e-9, 2000)
+        assert picks.sum() == 0  # index 1 has fitness ~1e-9 of the total
 
     def test_frequencies_match_fitness_distribution(self):
         costs = np.array([0.0, 10.0, 30.0])
@@ -125,20 +116,21 @@ class TestSelect:
         p = f / f.sum()
         rng = np.random.default_rng(12)
         n = 100_000
-        counts = np.zeros(3)
-        for _ in range(n):
-            counts[select(costs, rng, epsilon=eps)] += 1
+        counts = np.bincount(_select_batch(costs, rng, eps, n), minlength=3)
         for i in range(3):
             sigma = np.sqrt(n * p[i] * (1 - p[i]))
             assert abs(counts[i] - n * p[i]) <= 3 * sigma
 
     def test_draws_what_the_batch_kernel_draws(self):
+        # count single picks draw what one batch of count picks draws.
         rng = np.random.default_rng(4)
         for seed in range(50):
             costs = rng.uniform(0.0, 100.0, int(rng.integers(1, 30)))
+            count = int(rng.integers(1, 8))
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert select(costs, rng_a, epsilon=1e-3) == _select_batch(
-                costs, rng_b, 1e-3, 1)[0]
+            singles = [int(_select_batch(costs, rng_a, 1e-3, 1)[0])
+                       for _ in range(count)]
+            assert singles == _select_batch(costs, rng_b, 1e-3, count).tolist()
             assert rng_a.random() == rng_b.random()  # same number of draws
 
 
@@ -245,24 +237,30 @@ class TestMutate:
 class TestLocalSearch:
     def test_zero_budget_is_identity(self):
         hp = make_problem([300.0, 100.0], [50.0, 20.0])
-        u = CandidateSequence((hp.lattice.actions[0],) * 2)
-        assert local_search(u, hp, budget=0) is u
+        genome = np.zeros(2, dtype=np.int64)
+        cost = float(hp.costs_of(genome[None, :])[0])
+        refined, refined_cost = _local_search_indices(hp, genome, cost, 0)
+        assert refined.tolist() == genome.tolist()
+        assert refined_cost == cost
 
     def test_global_optimum_is_a_fixed_point(self):
         hp = make_problem([320.0, 180.0], [90.0, 140.0], soc0=300.0)
-        seq, _ = solve_exact(hp)
-        refined = local_search(seq, hp, budget=10_000)
-        assert tuple(refined) == tuple(seq)
+        seq, cost = solve_exact(hp)
+        genome = np.array(action_indices(hp, seq))
+        refined, _ = _local_search_indices(hp, genome, cost, 10_000)
+        assert refined.tolist() == genome.tolist()
 
     def test_never_worsens(self):
         rng = np.random.default_rng(6)
         hp = make_problem([300.0, 150.0, 250.0], [10.0, 80.0, 0.0], soc0=400.0)
         for _ in range(30):
-            idx = rng.integers(0, len(hp.lattice), hp.n_steps)
-            u = CandidateSequence(tuple(hp.lattice.actions[int(i)] for i in idx))
+            genome = rng.integers(0, len(hp.lattice), hp.n_steps)
+            cost = float(hp.costs_of(genome[None, :])[0])
             for budget in (1, 7, 50):
-                refined = local_search(u, hp, budget=budget)
-                assert hp.cost_of(refined) <= hp.cost_of(u) + 1e-12
+                refined, refined_cost = _local_search_indices(hp, genome, cost, budget)
+                assert refined_cost <= cost
+                assert refined_cost == hp.cost_of(
+                    [hp.lattice.actions[int(i)] for i in refined])
 
     @pytest.mark.parametrize("delta_p", [50.0, 10.0])  # 23 and 111 actions
     def test_batched_climb_matches_scalar_reference(self, delta_p):
@@ -376,10 +374,3 @@ class TestAcoSolve:
         hp = make_problem([300.0, 100.0], [0.0, 90.0], soc0=420.0)
         ap = AcoParams(ants=15, iterations=20, seed=77)
         assert aco_solve(hp, ap) == aco_solve(hp, ap)
-
-    def test_nan_load_raises_validation_error(self):
-        # Scenario refuses a NaN load, so the NaN enters as a renewable.
-        hp = make_problem([300.0, 100.0, 220.0], [0.0, float("nan"), 10.0])
-        hp = replace(hp, window=replace(hp.window, start_hour=7))
-        with pytest.raises(ValidationError, match="finite cost.*hour 7"):
-            aco_solve(hp, AcoParams(ants=5, iterations=3, seed=1))

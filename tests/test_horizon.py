@@ -9,6 +9,7 @@ import helios.horizon
 from conftest import action_indices, brute_force_optimum, make_problem, random_small_problem
 from helios.core import (BudgetExceeded, ControlAction, CostParams, InvalidStep,
                          ValidationError)
+from helios.evo import AcoParams, EvoParams, aco_solve, eg_solve
 from helios.horizon import (DEFAULT_MAX_ENUMERATION, _solve_enumeration,
                             build_lattice, solve_exact, solve_myopic)
 
@@ -114,18 +115,62 @@ class TestSolveExact:
             assert action_indices(hp, seq) == combo
             assert cost == oracle
 
-    def test_nan_load_raises_validation_error_on_enumeration(self):
-        # Scenario refuses a NaN load, so the NaN enters as a renewable.
-        hp = make_problem([200.0, 200.0], [100.0, float("nan")])
-        hp = replace(hp, window=replace(hp.window, start_hour=5))
-        assert len(hp.lattice) ** hp.n_steps <= DEFAULT_MAX_ENUMERATION
-        with pytest.raises(ValidationError, match="finite cost.*hour 5"):
-            solve_exact(hp)
-
     def test_budget_exceeded_when_dp_table_too_large(self):
         hp = make_problem([100.0] * 3, [0.0] * 3)
         with pytest.raises(BudgetExceeded):
             solve_exact(hp, soc_grid_step=1e-4, max_enumeration=0)
+
+
+class TestHorizonProblem:
+    def test_lattice_arrays_are_cached_and_read_only(self, small_lattice):
+        assert small_lattice.p_ch is small_lattice.p_ch
+        assert small_lattice.p_ch.tolist() == [a.p_ch for a in small_lattice.actions]
+        assert small_lattice.p_dis.tolist() == [a.p_dis for a in small_lattice.actions]
+        with pytest.raises(ValueError):
+            small_lattice.p_dis[0] = 1.0
+
+    def test_costs_of_matches_cost_of_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        hp = make_problem([320.0, 180.0, 40.0], [90.0, 140.0, 300.0], soc0=150.0,
+                          terminal_soc_value=0.02)
+        idx = rng.integers(0, len(hp.lattice), (200, hp.n_steps))
+        want = [hp.cost_of([hp.lattice.actions[int(i)] for i in row]) for row in idx]
+        assert hp.costs_of(idx).tolist() == want
+
+    def test_renewables_is_a_copy_of_the_forecast(self):
+        hp = make_problem([100.0, 200.0], [50.0, 0.0])
+        rens = hp.renewables()
+        rens[0] = 999.0
+        assert hp.renewables() == [50.0, 0.0]
+
+    @pytest.mark.parametrize("override", [[100.0, float("nan")],
+                                          [float("inf"), 0.0],
+                                          [100.0, -1.0],
+                                          [100.0]],
+                             ids=["nan", "inf", "negative", "wrong_length"])
+    def test_bad_renewable_override_is_refused_at_construction(self, override):
+        with pytest.raises(ValidationError, match="renewable_override"):
+            make_problem([200.0, 200.0], override)
+
+
+# The overflow itself warns; the solvers must then refuse the window.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("solve", [
+    pytest.param(solve_exact, id="enumeration"),
+    pytest.param(lambda hp: solve_exact(hp, max_enumeration=0), id="dp"),
+    pytest.param(lambda hp: eg_solve(hp, EvoParams(population=10, generations=3)),
+                 id="eg"),
+    pytest.param(lambda hp: aco_solve(hp, AcoParams(ants=5, iterations=3)),
+                 id="aco"),
+])
+def test_window_without_a_finite_cost_raises_validation_error(solve):
+    # 1.7e308 kW loads are finite, but four hours of their backup cost
+    # overflow to inf whatever the plan.
+    hp = make_problem([1.7e308] * 4, [0.0] * 4)
+    hp = replace(hp, window=replace(hp.window, start_hour=5))
+    assert len(hp.lattice) ** hp.n_steps <= DEFAULT_MAX_ENUMERATION
+    with pytest.raises(ValidationError, match="finite cost.*hour 5"):
+        solve(hp)
 
 
 class TestSolveMyopic:
