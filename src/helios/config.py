@@ -134,10 +134,7 @@ def parse_config_text(text: str, base: Config | None = None) -> Config:
             raise ParseError(f"line {lineno}: unknown config key '{key}'")
         group, attr, conv = _SCHEMA[key]
         try:
-            if conv is None:
-                value = _parse_bool(raw, key)
-            else:
-                value = conv(raw)
+            value = _parse_bool(raw, key) if conv is None else conv(raw)
         except ParseError:
             raise
         except Exception:

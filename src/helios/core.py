@@ -149,18 +149,21 @@ class ControlAction:
     """One (charge, discharge) power pair, kW.
 
     Charging and discharging are mutually exclusive: a round trip within a
-    single step would burn energy with no physical meaning, so p_ch * p_dis
-    must be exactly zero.
+    single step would burn energy with no physical meaning, so at most one
+    of p_ch and p_dis is positive. The vector cost kernels rely on this.
     """
 
     p_ch: float = 0.0   # kW
     p_dis: float = 0.0  # kW
 
     def __post_init__(self):
+        if not (math.isfinite(self.p_ch) and math.isfinite(self.p_dis)):
+            raise ValidationError(
+                f"action powers must be finite, got ({self.p_ch}, {self.p_dis})")
         if self.p_ch < 0 or self.p_dis < 0:
             raise NegativeValue(
                 f"action powers must be nonnegative, got ({self.p_ch}, {self.p_dis})")
-        if self.p_ch * self.p_dis != 0.0:
+        if self.p_ch > 0 and self.p_dis > 0:
             raise ValidationError(
                 f"simultaneous charge and discharge not allowed: "
                 f"({self.p_ch}, {self.p_dis})")

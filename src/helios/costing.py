@@ -11,13 +11,14 @@ terminal_soc_value * (soc_max - soc_N) rewards plans that end with energy in
 the battery (zero by default, and always >= 0 so search methods that weight
 by 1/J stay well defined).
 
-The formula has two implementations. step_cost is the scalar one, which the
-engine books applied hours with and which sequence_cost sums; sequence_cost
-serves HorizonProblem.cost_of and the tests, as the scalar reference.
-stage_costs is the one vectorised kernel: sequence_costs_batch (behind
-HorizonProblem.costs_of), the DP and myopic solvers and the ant colony price
-candidates through it, with the next SOC from battery.soc_after computed by
-the caller. The two agree bit for bit on finite input.
+The scalar step_cost books applied hours; sequence_cost sums it, as the
+tests' reference. The vector kernel is split: stage_base (battery + backup)
+depends on the step and action only, soc_penalty on the next SOC only, and
+their sum stage_costs is bit for bit step_cost(...).total, as at most one
+penalty term is nonzero. sequence_costs_batch prices a whole (rows, n_steps)
+block at once, bit for bit sequence_cost: actions are exclusive (p_ch == 0 or
+p_dis == 0), so soc + soc_after(bp, 0.0, ...) == soc_after(bp, soc, ...) and
+the SOC path is a sequential np.cumsum; so is the total (np.sum is pairwise).
 """
 
 from __future__ import annotations
@@ -133,36 +134,38 @@ def sequence_cost(cp: CostParams, bp: BatteryParams, load_kw, renewable_kw,
 def sequence_costs_batch(cp: CostParams, bp: BatteryParams, load_kw, renewable_kw,
                          soc0: float, p_ch: np.ndarray, p_dis: np.ndarray,
                          terminal_soc_value: float = 0.0) -> np.ndarray:
-    """Vectorized J(u) for a population of sequences.
+    """Vectorized J(u), bit for bit sequence_cost; see the module docstring.
 
-    p_ch and p_dis are (n_sequences, n_steps) arrays. Arithmetic mirrors
-    sequence_cost step for step so scalar and batch evaluation agree bitwise.
+    p_ch and p_dis are (n_sequences, n_steps) arrays whose rows come from
+    exclusive actions (p_ch == 0 or p_dis == 0 at every step).
     """
     n_steps = p_ch.shape[1]
     if not (len(load_kw) == len(renewable_kw) == n_steps):
         raise LengthMismatch("window length does not match sequence shape")
-    soc = np.full(p_ch.shape[0], soc0, dtype=float)
-    total = np.zeros(p_ch.shape[0], dtype=float)
-    for t in range(n_steps):
-        ch = p_ch[:, t]
-        dis = p_dis[:, t]
-        soc_next = soc_after(bp, soc, ch, dis)
-        total += stage_costs(cp, bp, load_kw[t], renewable_kw[t], soc_next, ch, dis)
-        soc = soc_next
+    soc = soc_after(bp, 0.0, p_ch, p_dis)
+    soc[:, 0] += soc0
+    np.cumsum(soc, axis=1, out=soc)
+    cost = stage_base(cp, bp, load_kw, renewable_kw, p_ch, p_dis)
+    cost += soc_penalty(cp, bp, soc)
+    total = np.cumsum(cost, axis=1, out=cost)[:, -1].copy()
     if terminal_soc_value != 0.0:
-        total += terminal_soc_value * (bp.soc_max - soc)
+        total += terminal_soc_value * (bp.soc_max - soc[:, -1])
     return total
+
+
+def stage_base(cp: CostParams, bp: BatteryParams, load, renewable, p_ch, p_dis):
+    """Battery + backup part of the step cost, over broadcasting arrays."""
+    return (cp.c_bat * p_dis * bp.dt
+            + cp.c_backup * np.maximum(0.0, load - (renewable + p_dis - p_ch)) * bp.dt)
+
+
+def soc_penalty(cp: CostParams, bp: BatteryParams, soc_next):
+    """SOC-band part of the step cost, for the unclamped next SOC."""
+    return (cp.q_under * np.maximum(0.0, bp.soc_min - soc_next)
+            + cp.r_over * np.maximum(0.0, soc_next - bp.soc_max))
 
 
 def stage_costs(cp: CostParams, bp: BatteryParams, load: float, renewable: float,
                 soc_next, p_ch, p_dis):
-    """Vectorized step cost: step_cost(...).total over broadcasting arrays.
-
-    soc_next is the unclamped next SOC of each action, from soc_after. The
-    sum order matches step_cost's battery + backup + penalty bit for bit,
-    because at most one of the two penalty terms is nonzero.
-    """
-    return (cp.c_bat * p_dis * bp.dt
-            + cp.c_backup * np.maximum(0.0, load - (renewable + p_dis - p_ch)) * bp.dt
-            + cp.q_under * np.maximum(0.0, bp.soc_min - soc_next)
-            + cp.r_over * np.maximum(0.0, soc_next - bp.soc_max))
+    """step_cost(...).total over broadcasting arrays; soc_next from soc_after."""
+    return stage_base(cp, bp, load, renewable, p_ch, p_dis) + soc_penalty(cp, bp, soc_next)

@@ -12,8 +12,9 @@ The local search scores all replacements at one gene position in a single
 batch, and charges its budget only for the evaluations up to and including
 the first improvement, as a one-at-a-time scan would. aco_solve is the
 ant-colony comparison arm: Ant System on the layered (stage, action)
-construction graph; its per-step heuristic prices actions with
-battery.soc_after and costing.stage_costs, the kernels every solver shares.
+construction graph. Its heuristic reads the window's SOC-free stage costs,
+HorizonProblem.base_costs, priced once per window; each ant adds only the
+soc_penalty at its own state.
 
 All randomness flows from one seed through a single numpy Generator per
 solve; identical inputs and seed give identical output and trace. Genomes
@@ -23,13 +24,13 @@ vectorized pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .battery import soc_after
 from .core import LengthMismatch, ValidationError
-from .costing import stage_costs
+from .costing import soc_penalty
 from .horizon import (ActionLattice, CandidateSequence, HorizonProblem,
                       sequence_from_indices)
 
@@ -112,8 +113,15 @@ def _select_batch(costs: np.ndarray, rng: np.random.Generator, epsilon: float,
     """count fitness-proportionate parent indices: P(i) = f_i / sum(f)."""
     # Cost-to-fitness transform for a minimization objective: affine
     # inversion against the generation's worst, offset so equal costs
-    # still select uniformly.
-    cum = np.cumsum((costs.max() - costs) + epsilon)
+    # still select uniformly. Non-finite costs get zero fitness (against the
+    # worst finite cost); with none finite, every draw is uniform.
+    worst = costs.max()
+    if math.isfinite(worst):
+        cum = np.cumsum((worst - costs) + epsilon)
+    else:
+        finite = np.isfinite(costs)
+        cum = np.cumsum(np.where(finite, (costs[finite].max() - costs) + epsilon, 0.0)
+                        if finite.any() else np.ones(costs.size))
     u = rng.random(count) * cum[-1]
     return np.minimum(np.searchsorted(cum, u, side="right"), costs.size - 1)
 
@@ -298,8 +306,6 @@ def aco_solve(hp: HorizonProblem, ap: AcoParams
     cp = hp.costs
     n = hp.n_steps
     n_actions = len(hp.lattice)
-    p_ch = hp.lattice.p_ch
-    p_dis = hp.lattice.p_dis
 
     tau = np.full((n, n_actions), ap.pheromone_init, dtype=float)
     best_genome: np.ndarray | None = None
@@ -312,9 +318,10 @@ def aco_solve(hp: HorizonProblem, ap: AcoParams
         total = np.zeros(ap.ants, dtype=float)
         paths = np.empty((ap.ants, n), dtype=np.int64)
         for t in range(n):
-            soc_next = soc_after(bp, socs[:, None], p_ch, p_dis)
-            stage = stage_costs(cp, bp, hp.window.load[t], hp.forecast[t],
-                                soc_next, p_ch, p_dis)
+            # Each ant adds the SOC penalty at its own state to the window's
+            # SOC-free base costs.
+            soc_next = socs[:, None] + hp.soc_steps
+            stage = hp.base_costs[t] + soc_penalty(cp, bp, soc_next)
             heuristic = 1.0 / (1.0 + stage)
             weight = tau[t][None, :] ** ap.alpha * heuristic ** ap.beta
             degenerate = weight.sum(axis=1) == 0.0

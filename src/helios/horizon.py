@@ -6,12 +6,13 @@ the budget, otherwise backward dynamic programming on a discretized SOC grid
 (next-SOC snapped to the nearest node). It doubles as the "standard MPC"
 strategy and as the oracle that the metaheuristics are tested against.
 
-HorizonProblem holds a window's data, its forecast cached once, and its
-batch objective costs_of; ActionLattice caches read-only p_ch/p_dis arrays.
-Every solver prices candidates with the package's one SOC update,
-battery.soc_after, and its one vectorised step cost, costing.stage_costs:
-enumeration, EG and DP's final plan through costs_of, the DP sweep and the
-myopic arm by calling the kernel on the (node or state) x action grid.
+HorizonProblem holds a window's data, its cached forecast and its batch
+objective costs_of (enumeration, EG, DP's final plan); ActionLattice caches
+read-only p_ch/p_dis arrays. Enumeration prices _ENUM_CHUNK = 2048 rows per
+call; with 16384 the block's temporaries were faulted in anew on every chunk.
+DP's successor nodes (int32) and SOC penalties are the same at every stage,
+so _dp_tables computes them once; a stage adds only its row of base_costs,
+the window's SOC-free stage costs, which ACO and the myopic arm also read.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .battery import soc_after
 from .core import (BatteryParams, BudgetExceeded, ControlAction, CostParams,
                    InvalidStep, Scenario, ValidationError, check_series)
-from .costing import sequence_cost, sequence_costs_batch, stage_costs
+from .costing import sequence_cost, sequence_costs_batch, soc_penalty, stage_base
 from .renewable import RenewableModel, predict_series
 
 DEFAULT_DELTA_P = 50.0          # kW
@@ -33,7 +34,7 @@ DEFAULT_SOC_GRID_STEP = 10.0    # kWh
 DEFAULT_MAX_ENUMERATION = 1_000_000   # sequences
 MAX_DP_TABLE = 50_000_000       # grid nodes * steps * actions
 
-_ENUM_CHUNK = 65536
+_ENUM_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -158,6 +159,18 @@ class HorizonProblem:
         """A copy of the forecast."""
         return list(self.forecast)
 
+    @cached_property
+    def base_costs(self) -> np.ndarray:
+        """costing.stage_base of every (step, action): (n_steps, n_actions)."""
+        return stage_base(self.costs, self.battery, np.array(self.window.load)[:, None],
+                          np.array(self.forecast)[:, None], self.lattice.p_ch,
+                          self.lattice.p_dis)
+
+    @cached_property
+    def soc_steps(self) -> np.ndarray:
+        """SOC change per action; soc + it is soc_after exactly (exclusive actions)."""
+        return soc_after(self.battery, 0.0, self.lattice.p_ch, self.lattice.p_dis)
+
     def cost_of(self, u: CandidateSequence | list[ControlAction]) -> float:
         """Window objective J(u) for one candidate."""
         return sequence_cost(self.costs, self.battery, self.window.load,
@@ -233,52 +246,53 @@ def _solve_enumeration(hp: HorizonProblem) -> tuple[CandidateSequence, float]:
 
 def _solve_dp(hp: HorizonProblem, soc_grid_step: float
               ) -> tuple[CandidateSequence, float]:
+    values, policy, succ = _dp_tables(hp, soc_grid_step)
+    # Forward pass: the first step from the exact soc0, then along grid nodes.
+    row = values.shape[1] - 1
+    idx = []
+    for t in range(hp.n_steps):
+        a = int(policy[t][row])
+        idx.append(a)
+        row = int(succ[row, a])
+    cost = hp.require_finite(float(hp.costs_of(np.array([idx]))[0]))
+    return sequence_from_indices(hp.lattice, idx), cost
+
+
+def _dp_tables(hp: HorizonProblem, soc_grid_step: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backward DP over the SOC grid nodes plus the exact soc0 as a last row.
+
+    Returns (values, policy, succ): each row's optimal cost-to-go per stage,
+    its first minimising (smallest) action index, and succ[row, a], the grid
+    node action a leads to (nearest, round half up, clamped to the grid).
+    Stage 0 is solved for the soc0 row only; its grid rows stay NaN and 0.
+    """
     if soc_grid_step <= 0:
         raise InvalidStep(f"soc_grid_step must be positive, got {soc_grid_step}")
     bp = hp.battery
-    cp = hp.costs
     n = hp.n_steps
     n_actions = len(hp.lattice)
     grid = np.arange(bp.soc_min, bp.soc_max + soc_grid_step / 2, soc_grid_step)
     if len(grid) * n * n_actions > MAX_DP_TABLE:
         raise BudgetExceeded(
             f"DP table {len(grid)}x{n}x{n_actions} exceeds {MAX_DP_TABLE}")
-    loads = hp.window.load
-    rens = hp.forecast
-    p_ch = hp.lattice.p_ch
-    p_dis = hp.lattice.p_dis
-
-    def snap(soc: np.ndarray) -> np.ndarray:
-        # Nearest node, round half up, clamped to the grid.
-        k = np.floor((soc - bp.soc_min) / soc_grid_step + 0.5).astype(np.int64)
-        return np.clip(k, 0, len(grid) - 1)
-
-    # values[t] is the optimal cost-to-go from each grid node at stage t.
-    values = np.empty((n + 1, len(grid)))
-    values[n] = hp.terminal_soc_value * (bp.soc_max - grid)
-    policy = np.zeros((n, len(grid)), dtype=np.int64)
+    socs = np.append(grid, hp.soc0)
+    soc_next = socs[:, None] + hp.soc_steps
+    pen = soc_penalty(hp.costs, bp, soc_next)
+    k = (soc_next - bp.soc_min) / soc_grid_step + 0.5
+    del soc_next
+    succ = np.clip(np.floor(k, out=k), 0, len(grid) - 1, out=k).astype(np.int32)
+    del k
+    values = np.full((n + 1, len(socs)), np.nan)
+    values[n] = hp.terminal_soc_value * (bp.soc_max - socs)
+    policy = np.zeros((n, len(socs)), dtype=np.int64)
     for t in range(n - 1, -1, -1):
-        # soc_next is the same at every stage, but holding the node x action
-        # arrays across stages raises the peak memory on a fine lattice.
-        soc_next = soc_after(bp, grid[:, None], p_ch, p_dis)
-        q = stage_costs(cp, bp, loads[t], rens[t], soc_next, p_ch, p_dis)
-        q += values[t + 1][snap(soc_next)]
-        policy[t] = np.argmin(q, axis=1)  # first min = smallest action index
-        values[t] = q[np.arange(len(grid)), policy[t]]
-
-    # Forward pass: first step from the exact soc0, then follow grid nodes.
-    soc_next0 = soc_after(bp, hp.soc0, p_ch, p_dis)
-    q0 = (stage_costs(cp, bp, loads[0], rens[0], soc_next0, p_ch, p_dis)
-          + values[1][snap(soc_next0)])
-    first = int(np.argmin(q0))
-    idx = [first]
-    node = int(snap(soc_next0[first:first + 1])[0])
-    for t in range(1, n):
-        a = int(policy[t][node])
-        idx.append(a)
-        node = int(snap(np.array([soc_after(bp, grid[node], p_ch[a], p_dis[a])]))[0])
-    cost = hp.require_finite(float(hp.costs_of(np.array([idx]))[0]))
-    return sequence_from_indices(hp.lattice, idx), cost
+        live = slice(None) if t else slice(-1, None)  # stage 0 starts at soc0
+        q = pen[live] + hp.base_costs[t]
+        q += values[t + 1][succ[live]]
+        policy[t, live] = np.argmin(q, axis=1)
+        values[t, live] = q[np.arange(len(q)), policy[t, live]]
+    return values, policy, succ
 
 
 def solve_myopic(hp: HorizonProblem) -> CandidateSequence:
@@ -289,16 +303,11 @@ def solve_myopic(hp: HorizonProblem) -> CandidateSequence:
     solve_exact); the greedy arm simply never looks further ahead.
     """
     bp = hp.battery
-    cp = hp.costs
-    loads = hp.window.load
-    rens = hp.forecast
-    p_ch = hp.lattice.p_ch
-    p_dis = hp.lattice.p_dis
     soc = hp.soc0
     idx = []
     for t in range(hp.n_steps):
-        soc_next = soc_after(bp, soc, p_ch, p_dis)
-        stage = stage_costs(cp, bp, loads[t], rens[t], soc_next, p_ch, p_dis)
+        soc_next = soc + hp.soc_steps
+        stage = hp.base_costs[t] + soc_penalty(hp.costs, bp, soc_next)
         if hp.terminal_soc_value != 0.0:
             stage = stage + hp.terminal_soc_value * (bp.soc_max - soc_next)
         a = int(np.argmin(stage))

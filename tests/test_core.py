@@ -70,6 +70,18 @@ class TestControlAction:
         with pytest.raises(ValidationError):
             ControlAction(p_ch=10.0, p_dis=10.0)
 
+    def test_rejects_simultaneous_powers_whose_product_underflows(self):
+        assert 1e-200 * 1e-200 == 0.0
+        with pytest.raises(ValidationError, match="simultaneous"):
+            ControlAction(p_ch=1e-200, p_dis=1e-200)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_power(self, bad):
+        with pytest.raises(ValidationError):
+            ControlAction(p_ch=bad)
+        with pytest.raises(ValidationError):
+            ControlAction(p_dis=bad)
+
     def test_rejects_negative_power(self):
         with pytest.raises(NegativeValue):
             ControlAction(p_ch=-5.0)

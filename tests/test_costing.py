@@ -2,14 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_optimum, make_problem
-from helios.core import ControlAction, CostParams, LengthMismatch, NegativeValue
+from helios.core import (BatteryParams, ControlAction, CostParams, LengthMismatch,
+                         NegativeValue)
 from helios.battery import soc_after
 from helios.costing import (CostBreakdown, backup_power, sequence_cost,
-                            sequence_costs_batch, stage_costs, step_cost,
-                            step_flows)
-from helios.horizon import solve_exact
+                            sequence_costs_batch, soc_penalty, stage_base,
+                            stage_costs, step_cost, step_flows)
+from helios.horizon import build_lattice, solve_exact
+
+REFERENCE_BATTERY = BatteryParams(capacity=1000.0, soc_min=100.0, soc_max=900.0,
+                                  p_ch_max=1000.0, p_dis_max=100.0,
+                                  eta_ch=0.9, eta_dis=0.9, dt=1.0)
+# 23 and 111 actions on the reference battery.
+LATTICES = {delta: build_lattice(1000.0, 100.0, delta) for delta in (50.0, 10.0)}
+COST_PARAMS = (CostParams(), CostParams(c_bat=0.07, c_backup=0.4, q_under=12.0,
+                                        r_over=9.0))
+# SOC below, inside and above the [100, 900] band.
+socs = st.one_of(st.floats(-300.0, 99.0), st.floats(100.0, 900.0),
+                 st.floats(901.0, 1500.0))
+powers = st.floats(0.0, 700.0)
 
 
 class TestBackupPower:
@@ -177,3 +192,40 @@ class TestSequenceCost:
             scalar = sequence_cost(costs, battery, loads, rens, 500.0, row,
                                    terminal_soc_value=0.25)
             assert batch[i] == scalar
+
+
+class TestSplitKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(cp=st.sampled_from(COST_PARAMS), delta=st.sampled_from(sorted(LATTICES)),
+           load=powers, ren=powers, soc=socs)
+    def test_base_plus_penalty_is_stage_costs_and_step_cost(self, cp, delta, load,
+                                                            ren, soc):
+        lat = LATTICES[delta]
+        bp = REFERENCE_BATTERY
+        soc_next = soc_after(bp, soc, lat.p_ch, lat.p_dis)
+        split = (stage_base(cp, bp, load, ren, lat.p_ch, lat.p_dis)
+                 + soc_penalty(cp, bp, soc_next))
+        assert split.tolist() == stage_costs(cp, bp, load, ren, soc_next,
+                                             lat.p_ch, lat.p_dis).tolist()
+        assert split.tolist() == [step_cost(cp, bp, load, ren, a, float(s)).total
+                                  for a, s in zip(lat.actions, soc_next)]
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), n_steps=st.integers(1, 12),
+           cp=st.sampled_from(COST_PARAMS), delta=st.sampled_from(sorted(LATTICES)),
+           soc0=socs, terminal=st.sampled_from([0.0, 0.2, 0.0137]),
+           rows=st.integers(1, 25), seed=st.integers(0, 2**32 - 1))
+    def test_batch_equals_scalar_sequence_cost_bit_for_bit(
+            self, data, n_steps, cp, delta, soc0, terminal, rows, seed):
+        # From 8 steps on a pairwise sum would differ in the last bit.
+        lat = LATTICES[delta]
+        bp = REFERENCE_BATTERY
+        loads = data.draw(st.lists(powers, min_size=n_steps, max_size=n_steps))
+        rens = data.draw(st.lists(powers, min_size=n_steps, max_size=n_steps))
+        idx = np.random.default_rng(seed).integers(0, len(lat), (rows, n_steps))
+        got = sequence_costs_batch(cp, bp, loads, rens, soc0, lat.p_ch[idx],
+                                   lat.p_dis[idx], terminal)
+        want = [sequence_cost(cp, bp, loads, rens, soc0,
+                              [lat.actions[int(i)] for i in row], terminal)
+                for row in idx]
+        assert got.tolist() == want

@@ -134,6 +134,30 @@ class TestSelect:
             assert rng_a.random() == rng_b.random()  # same number of draws
 
 
+    def test_finite_costs_draw_what_the_affine_fitness_draws(self):
+        rng = np.random.default_rng(6)
+        for seed in range(20):
+            costs = rng.uniform(0.0, 100.0, 40)
+            cum = np.cumsum((costs.max() - costs) + 1e-9)
+            u = np.random.default_rng(seed).random(25) * cum[-1]
+            want = np.minimum(np.searchsorted(cum, u, side="right"), costs.size - 1)
+            got = _select_batch(costs, np.random.default_rng(seed), 1e-9, 25)
+            assert got.tolist() == want.tolist()
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_cost_is_never_drawn(self):
+        picks = _select_batch(np.array([1.0, np.inf, 2.0]),
+                              np.random.default_rng(3), 1e-9, 5000)
+        assert 1 not in picks
+
+    @pytest.mark.filterwarnings("error")
+    def test_all_infinite_costs_draw_uniformly_without_warning(self):
+        picks = _select_batch(np.full(4, np.inf), np.random.default_rng(9), 1e-9,
+                              20_000)
+        counts = np.bincount(picks, minlength=4)
+        assert np.all(np.abs(counts - 5000) < 3 * np.sqrt(20_000 * 0.25 * 0.75))
+
+
 class TestCrossover:
     def test_identical_parents_reproduce_themselves(self, small_lattice):
         rng = np.random.default_rng(1)
@@ -374,3 +398,19 @@ class TestAcoSolve:
         hp = make_problem([300.0, 100.0], [0.0, 90.0], soc0=420.0)
         ap = AcoParams(ants=15, iterations=20, seed=77)
         assert aco_solve(hp, ap) == aco_solve(hp, ap)
+
+    def test_cost_is_the_scalar_cost_of_the_plan_bit_for_bit(self):
+        # The ants price their paths from the window's base table plus the
+        # SOC penalty at their own state; that must be J of the plan exactly,
+        # also from above the band, where every plan pays an SOC penalty.
+        rng = np.random.default_rng(14)
+        for delta in (50.0, 10.0):
+            for _ in range(4):
+                n = int(rng.integers(1, 7))
+                hp = make_problem(rng.uniform(0.0, 600.0, n).tolist(),
+                                  rng.uniform(0.0, 700.0, n).tolist(),
+                                  soc0=float(rng.choice([40.0, 500.0, 1300.0])),
+                                  lattice=build_lattice(1000.0, 100.0, delta),
+                                  terminal_soc_value=0.2)
+                seq, cost, _ = aco_solve(hp, AcoParams(ants=8, iterations=6, seed=3))
+                assert cost == hp.cost_of(seq)

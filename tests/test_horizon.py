@@ -7,11 +7,55 @@ import pytest
 
 import helios.horizon
 from conftest import action_indices, brute_force_optimum, make_problem, random_small_problem
+from helios.battery import soc_after, step_soc
 from helios.core import (BudgetExceeded, ControlAction, CostParams, InvalidStep,
                          ValidationError)
+from helios.costing import step_cost
 from helios.evo import AcoParams, EvoParams, aco_solve, eg_solve
-from helios.horizon import (DEFAULT_MAX_ENUMERATION, _solve_enumeration,
-                            build_lattice, solve_exact, solve_myopic)
+from helios.horizon import (DEFAULT_MAX_ENUMERATION, _dp_tables, _solve_dp,
+                            _solve_enumeration, build_lattice, solve_exact,
+                            solve_myopic)
+
+
+def reference_dp(hp, soc_grid_step):
+    """Per-stage DP: the SOC successors and the whole step cost, per stage.
+
+    The step cost is summed battery + backup + under + over, and the first
+    step is priced from the exact soc0. Returns the grid's values and
+    policy, the plan and its cost.
+    """
+    bp, cp = hp.battery, hp.costs
+    p_ch, p_dis = hp.lattice.p_ch, hp.lattice.p_dis
+    grid = np.arange(bp.soc_min, bp.soc_max + soc_grid_step / 2, soc_grid_step)
+
+    def snap(soc):
+        k = np.floor((soc - bp.soc_min) / soc_grid_step + 0.5).astype(np.int64)
+        return np.clip(k, 0, len(grid) - 1)
+
+    def stage(t, soc_next):
+        return (cp.c_bat * p_dis * bp.dt
+                + cp.c_backup * np.maximum(
+                    0.0, hp.window.load[t] - (hp.forecast[t] + p_dis - p_ch)) * bp.dt
+                + cp.q_under * np.maximum(0.0, bp.soc_min - soc_next)
+                + cp.r_over * np.maximum(0.0, soc_next - bp.soc_max))
+
+    n = hp.n_steps
+    values = np.empty((n + 1, len(grid)))
+    values[n] = hp.terminal_soc_value * (bp.soc_max - grid)
+    policy = np.zeros((n, len(grid)), dtype=np.int64)
+    for t in range(n - 1, -1, -1):
+        soc_next = soc_after(bp, grid[:, None], p_ch, p_dis)
+        q = stage(t, soc_next) + values[t + 1][snap(soc_next)]
+        policy[t] = np.argmin(q, axis=1)
+        values[t] = q[np.arange(len(grid)), policy[t]]
+    soc_next0 = soc_after(bp, hp.soc0, p_ch, p_dis)
+    q0 = stage(0, soc_next0) + values[1][snap(soc_next0)]
+    idx = [int(np.argmin(q0))]
+    node = int(snap(soc_next0[idx[0]]))
+    for t in range(1, n):
+        idx.append(int(policy[t][node]))
+        node = int(snap(soc_after(bp, grid[node], p_ch[idx[-1]], p_dis[idx[-1]])))
+    return values, policy, q0.min(), idx, hp.cost_of([hp.lattice.actions[i] for i in idx])
 
 
 class TestBuildLattice:
@@ -95,7 +139,7 @@ class TestSolveExact:
         b = solve_exact(hp)
         assert a == b
 
-    @pytest.mark.parametrize("chunk", [65536, 7, 81])
+    @pytest.mark.parametrize("chunk", [65536, 16384, 2048, 7, 81])
     def test_chunked_enumeration_keeps_the_first_minimum(self, chunk, monkeypatch):
         monkeypatch.setattr(helios.horizon, "_ENUM_CHUNK", chunk)
         rng = np.random.default_rng(8)
@@ -114,6 +158,31 @@ class TestSolveExact:
             combo, oracle = brute_force_optimum(hp)  # itertools.product scan
             assert action_indices(hp, seq) == combo
             assert cost == oracle
+
+    @pytest.mark.parametrize("delta_p, grid_step", [(50.0, 10.0), (10.0, 0.5)],
+                             ids=["coarse", "fine"])
+    def test_dp_equals_the_per_stage_reference(self, delta_p, grid_step):
+        rng = np.random.default_rng(int(delta_p))
+        lattice = build_lattice(1000.0, 100.0, delta_p)
+        for _ in range(6):
+            n = int(rng.integers(1, 8))
+            # soc0 off the grid, and sometimes outside the band.
+            hp = make_problem(rng.uniform(0.0, 600.0, n).tolist(),
+                              rng.uniform(0.0, 700.0, n).tolist(),
+                              soc0=float(rng.uniform(50.0, 950.0)), lattice=lattice,
+                              terminal_soc_value=float(rng.choice([0.0, 0.2])))
+            values, policy, succ = _dp_tables(hp, grid_step)
+            ref_values, ref_policy, ref_q0, ref_idx, ref_cost = reference_dp(
+                hp, grid_step)
+            # Grid rows from stage 1 on, then the soc0 row at stage 0, which
+            # is the only row stage 0 solves.
+            assert values[1:, :-1].tolist() == ref_values[1:].tolist()
+            assert policy[1:, :-1].tolist() == ref_policy[1:].tolist()
+            assert values[0, -1] == ref_q0
+            assert policy[0, -1] == ref_idx[0]
+            seq, cost = _solve_dp(hp, grid_step)
+            assert list(action_indices(hp, seq)) == ref_idx
+            assert cost == ref_cost
 
     def test_budget_exceeded_when_dp_table_too_large(self):
         hp = make_problem([100.0] * 3, [0.0] * 3)
@@ -196,6 +265,30 @@ class TestSolveMyopic:
         combo, oracle = brute_force_optimum(hp)
         assert exact_cost == oracle
         assert myopic_cost > exact_cost
+
+    def test_equals_a_scalar_greedy_reference(self):
+        # Each step takes the first action minimising the scalar step cost
+        # (plus the terminal term) from the exact SOC, also outside the band.
+        # Penalty weights just above c_backup make SOC and backup trade off.
+        rng = np.random.default_rng(41)
+        for delta, costs in ((50.0, CostParams()),
+                             (10.0, CostParams(q_under=0.31, r_over=0.31))):
+            for soc0 in (40.0, 500.0, 1300.0):
+                n = int(rng.integers(1, 7))
+                hp = make_problem(rng.uniform(0.0, 600.0, n).tolist(),
+                                  rng.uniform(0.0, 700.0, n).tolist(), soc0=soc0,
+                                  lattice=build_lattice(1000.0, 100.0, delta),
+                                  costs=costs, terminal_soc_value=0.2)
+                bp, soc, want = hp.battery, soc0, []
+                for t in range(n):
+                    nexts = [step_soc(bp, soc, a) for a in hp.lattice.actions]
+                    scores = [step_cost(hp.costs, bp, hp.window.load[t], hp.forecast[t],
+                                        a, s).total + 0.2 * (bp.soc_max - s)
+                              for a, s in zip(hp.lattice.actions, nexts)]
+                    a = int(np.argmin(scores))
+                    want.append(hp.lattice.actions[a])
+                    soc = nexts[a]
+                assert tuple(solve_myopic(hp)) == tuple(want)
 
     def test_zero_load_window_stays_idle(self):
         hp = make_problem([0.0] * 4, [0.0] * 4)
