@@ -12,13 +12,12 @@ the battery (zero by default, and always >= 0 so search methods that weight
 by 1/J stay well defined).
 
 The scalar step_cost books applied hours; sequence_cost sums it, as the
-tests' reference. The vector kernel is split: stage_base (battery + backup)
-depends on the step and action only, soc_penalty on the next SOC only, and
-their sum stage_costs is bit for bit step_cost(...).total, as at most one
-penalty term is nonzero. sequence_costs_batch prices a whole (rows, n_steps)
-block at once, bit for bit sequence_cost: actions are exclusive (p_ch == 0 or
-p_dis == 0), so soc + soc_after(bp, 0.0, ...) == soc_after(bp, soc, ...) and
-the SOC path is a sequential np.cumsum; so is the total (np.sum is pairwise).
+tests' reference. The vector step cost is stage_base (battery + backup, per
+step and action; HorizonProblem tabulates it once per window) plus
+soc_penalty (per next SOC). sequence_costs_batch prices rows of lattice
+indices by gathering from the window's tables, bit for bit sequence_cost:
+actions are exclusive, so soc + soc_after(bp, 0.0, ...) == soc_after(bp, soc,
+...), the SOC path is a sequential np.cumsum and so is the total.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .battery import soc_after, step_soc
+from .battery import step_soc
 from .core import BatteryParams, ControlAction, CostParams, LengthMismatch, NegativeValue
 
 
@@ -131,21 +130,18 @@ def sequence_cost(cp: CostParams, bp: BatteryParams, load_kw, renewable_kw,
     return total
 
 
-def sequence_costs_batch(cp: CostParams, bp: BatteryParams, load_kw, renewable_kw,
-                         soc0: float, p_ch: np.ndarray, p_dis: np.ndarray,
+def sequence_costs_batch(cp: CostParams, bp: BatteryParams, base_costs: np.ndarray,
+                         soc_steps: np.ndarray, soc0: float, idx: np.ndarray,
                          terminal_soc_value: float = 0.0) -> np.ndarray:
-    """Vectorized J(u), bit for bit sequence_cost; see the module docstring.
-
-    p_ch and p_dis are (n_sequences, n_steps) arrays whose rows come from
-    exclusive actions (p_ch == 0 or p_dis == 0 at every step).
-    """
-    n_steps = p_ch.shape[1]
-    if not (len(load_kw) == len(renewable_kw) == n_steps):
+    """J of each row of idx, (n_sequences, n_steps) lattice indices, from the
+    window's (n_steps, n_actions) stage_base table and each action's SOC step."""
+    n_steps = base_costs.shape[0]
+    if idx.shape[1] != n_steps:
         raise LengthMismatch("window length does not match sequence shape")
-    soc = soc_after(bp, 0.0, p_ch, p_dis)
+    soc = soc_steps[idx]
     soc[:, 0] += soc0
     np.cumsum(soc, axis=1, out=soc)
-    cost = stage_base(cp, bp, load_kw, renewable_kw, p_ch, p_dis)
+    cost = base_costs[np.arange(n_steps), idx]
     cost += soc_penalty(cp, bp, soc)
     total = np.cumsum(cost, axis=1, out=cost)[:, -1].copy()
     if terminal_soc_value != 0.0:
@@ -163,9 +159,3 @@ def soc_penalty(cp: CostParams, bp: BatteryParams, soc_next):
     """SOC-band part of the step cost, for the unclamped next SOC."""
     return (cp.q_under * np.maximum(0.0, bp.soc_min - soc_next)
             + cp.r_over * np.maximum(0.0, soc_next - bp.soc_max))
-
-
-def stage_costs(cp: CostParams, bp: BatteryParams, load: float, renewable: float,
-                soc_next, p_ch, p_dis):
-    """step_cost(...).total over broadcasting arrays; soc_next from soc_after."""
-    return stage_base(cp, bp, load, renewable, p_ch, p_dis) + soc_penalty(cp, bp, soc_next)

@@ -13,8 +13,8 @@ batch, and charges its budget only for the evaluations up to and including
 the first improvement, as a one-at-a-time scan would. aco_solve is the
 ant-colony comparison arm: Ant System on the layered (stage, action)
 construction graph. Its heuristic reads the window's SOC-free stage costs,
-HorizonProblem.base_costs, priced once per window; each ant adds only the
-soc_penalty at its own state.
+HorizonProblem.base_costs, plus the SOC penalty at each ant's own state
+(HorizonProblem.transitions). Both solvers start with require_feasible.
 
 All randomness flows from one seed through a single numpy Generator per
 solve; identical inputs and seed give identical output and trace. Genomes
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LengthMismatch, ValidationError
-from .costing import soc_penalty
 from .horizon import (ActionLattice, CandidateSequence, HorizonProblem,
                       sequence_from_indices)
 
@@ -229,6 +228,7 @@ def eg_solve(hp: HorizonProblem, ep: EvoParams
     Returns the best-ever sequence, its cost, and the per-generation
     best-cost trace (monotone nonincreasing by elitism).
     """
+    hp.require_feasible()
     rng = np.random.default_rng(ep.seed)
     n = hp.n_steps
     n_actions = len(hp.lattice)
@@ -301,9 +301,8 @@ def aco_solve(hp: HorizonProblem, ap: AcoParams
     1 / (1 + J) on the edges it used. Returns best-ever sequence, cost,
     and the per-iteration best-ever trace.
     """
+    hp.require_feasible()
     rng = np.random.default_rng(ap.seed)
-    bp = hp.battery
-    cp = hp.costs
     n = hp.n_steps
     n_actions = len(hp.lattice)
 
@@ -318,10 +317,8 @@ def aco_solve(hp: HorizonProblem, ap: AcoParams
         total = np.zeros(ap.ants, dtype=float)
         paths = np.empty((ap.ants, n), dtype=np.int64)
         for t in range(n):
-            # Each ant adds the SOC penalty at its own state to the window's
-            # SOC-free base costs.
-            soc_next = socs[:, None] + hp.soc_steps
-            stage = hp.base_costs[t] + soc_penalty(cp, bp, soc_next)
+            soc_next, pen = hp.transitions(socs[:, None])
+            stage = hp.base_costs[t] + pen
             heuristic = 1.0 / (1.0 + stage)
             weight = tau[t][None, :] ** ap.alpha * heuristic ** ap.beta
             degenerate = weight.sum(axis=1) == 0.0
@@ -334,7 +331,7 @@ def aco_solve(hp: HorizonProblem, ap: AcoParams
             total += stage[ant_rows, choice]
             socs = soc_next[ant_rows, choice]
         if hp.terminal_soc_value != 0.0:
-            total += hp.terminal_soc_value * (bp.soc_max - socs)
+            total += hp.terminal_credit(socs)
 
         bi = int(np.argmin(total))
         if total[bi] < best_cost:

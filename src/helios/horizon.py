@@ -6,13 +6,13 @@ the budget, otherwise backward dynamic programming on a discretized SOC grid
 (next-SOC snapped to the nearest node). It doubles as the "standard MPC"
 strategy and as the oracle that the metaheuristics are tested against.
 
-HorizonProblem holds a window's data, its cached forecast and its batch
-objective costs_of (enumeration, EG, DP's final plan); ActionLattice caches
-read-only p_ch/p_dis arrays. Enumeration prices _ENUM_CHUNK = 2048 rows per
-call; with 16384 the block's temporaries were faulted in anew on every chunk.
-DP's successor nodes (int32) and SOC penalties are the same at every stage,
-so _dp_tables computes them once; a stage adds only its row of base_costs,
-the window's SOC-free stage costs, which ACO and the myopic arm also read.
+HorizonProblem owns a window's objective: the forecast, the tables
+base_costs (SOC-free stage costs) and soc_steps, costs_of (gathers from them),
+transitions, terminal_credit and require_feasible; solvers only read these.
+Enumeration prices _ENUM_CHUNK = 2048 rows per call; with 16384 the block's
+temporaries were faulted in anew on every chunk. DP's successor nodes (int32)
+and SOC penalties are the same at every stage, so _dp_tables computes them
+once; a stage adds only its row of base_costs.
 """
 
 from __future__ import annotations
@@ -122,9 +122,8 @@ class HorizonProblem:
     renewable_override, when given, replaces the model prediction per step
     and must hold window.steps finite values >= 0; the engine passes each
     window's slice of its one forecast, with noise when configured.
-    terminal_soc_value adds terminal_soc_value * (soc_max - soc_N) to every
-    candidate's cost so that plans near the window edge still see the value
-    of stored energy; zero by default.
+    terminal_soc_value weights terminal_credit, the value of stored energy
+    at the window edge in every candidate's cost; zero by default.
     """
 
     window: Scenario
@@ -137,6 +136,8 @@ class HorizonProblem:
     terminal_soc_value: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.soc0):
+            raise ValidationError(f"HorizonProblem.soc0 must be finite, got {self.soc0}")
         if self.window.steps < 1:
             raise ValidationError("horizon window must have at least one step")
         if self.renewable_override is not None:
@@ -171,6 +172,15 @@ class HorizonProblem:
         """SOC change per action; soc + it is soc_after exactly (exclusive actions)."""
         return soc_after(self.battery, 0.0, self.lattice.p_ch, self.lattice.p_dis)
 
+    def transitions(self, soc):
+        """Each action's next SOC from soc (float or (k, 1) column) and SOC penalty."""
+        soc_next = soc + self.soc_steps
+        return soc_next, soc_penalty(self.costs, self.battery, soc_next)
+
+    def terminal_credit(self, soc_end):
+        """The terminal term of J: terminal_soc_value * (soc_max - soc_end)."""
+        return self.terminal_soc_value * (self.battery.soc_max - soc_end)
+
     def cost_of(self, u: CandidateSequence | list[ControlAction]) -> float:
         """Window objective J(u) for one candidate."""
         return sequence_cost(self.costs, self.battery, self.window.load,
@@ -179,10 +189,14 @@ class HorizonProblem:
 
     def costs_of(self, idx: np.ndarray) -> np.ndarray:
         """J for each row of an (n_candidates, n_steps) lattice index array."""
-        return sequence_costs_batch(self.costs, self.battery, self.window.load,
-                                    self.forecast, self.soc0,
-                                    self.lattice.p_ch[idx], self.lattice.p_dis[idx],
+        return sequence_costs_batch(self.costs, self.battery, self.base_costs,
+                                    self.soc_steps, self.soc0, idx,
                                     self.terminal_soc_value)
+
+    def require_feasible(self) -> None:
+        """Refuses, before any search, a window where every candidate costs inf:
+        exact, as penalties are >= 0, rounded sums monotone and inf + credit inf."""
+        self.require_finite(float(self.base_costs.min(axis=1).cumsum()[-1]))
 
     def require_finite(self, cost: float) -> float:
         """The best cost a solver found; raises when it is not finite."""
@@ -215,9 +229,8 @@ def solve_exact(hp: HorizonProblem,
     otherwise. The returned cost is always the true (continuous-SOC) cost
     of the returned sequence, so enumeration and DP results are comparable.
     """
-    n_actions = len(hp.lattice)
-    n_sequences = float(n_actions) ** hp.n_steps
-    if n_sequences <= max_enumeration:
+    hp.require_feasible()
+    if float(len(hp.lattice)) ** hp.n_steps <= max_enumeration:
         return _solve_enumeration(hp)
     return _solve_dp(hp, soc_grid_step)
 
@@ -277,14 +290,13 @@ def _dp_tables(hp: HorizonProblem, soc_grid_step: float
         raise BudgetExceeded(
             f"DP table {len(grid)}x{n}x{n_actions} exceeds {MAX_DP_TABLE}")
     socs = np.append(grid, hp.soc0)
-    soc_next = socs[:, None] + hp.soc_steps
-    pen = soc_penalty(hp.costs, bp, soc_next)
+    soc_next, pen = hp.transitions(socs[:, None])
     k = (soc_next - bp.soc_min) / soc_grid_step + 0.5
     del soc_next
     succ = np.clip(np.floor(k, out=k), 0, len(grid) - 1, out=k).astype(np.int32)
     del k
     values = np.full((n + 1, len(socs)), np.nan)
-    values[n] = hp.terminal_soc_value * (bp.soc_max - socs)
+    values[n] = hp.terminal_credit(socs)
     policy = np.zeros((n, len(socs)), dtype=np.int64)
     for t in range(n - 1, -1, -1):
         live = slice(None) if t else slice(-1, None)  # stage 0 starts at soc0
@@ -302,14 +314,14 @@ def solve_myopic(hp: HorizonProblem) -> CandidateSequence:
     terminal shaping term, so on a one-step window this coincides with
     solve_exact); the greedy arm simply never looks further ahead.
     """
-    bp = hp.battery
+    hp.require_feasible()
     soc = hp.soc0
     idx = []
     for t in range(hp.n_steps):
-        soc_next = soc + hp.soc_steps
-        stage = hp.base_costs[t] + soc_penalty(hp.costs, bp, soc_next)
+        soc_next, pen = hp.transitions(soc)
+        stage = hp.base_costs[t] + pen
         if hp.terminal_soc_value != 0.0:
-            stage = stage + hp.terminal_soc_value * (bp.soc_max - soc_next)
+            stage += hp.terminal_credit(soc_next)
         a = int(np.argmin(stage))
         idx.append(a)
         soc = float(soc_next[a])

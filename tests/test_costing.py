@@ -10,8 +10,7 @@ from helios.core import (BatteryParams, ControlAction, CostParams, LengthMismatc
                          NegativeValue)
 from helios.battery import soc_after
 from helios.costing import (CostBreakdown, backup_power, sequence_cost,
-                            sequence_costs_batch, soc_penalty, stage_base,
-                            stage_costs, step_cost, step_flows)
+                            soc_penalty, stage_base, step_cost, step_flows)
 from helios.horizon import build_lattice, solve_exact
 
 REFERENCE_BATTERY = BatteryParams(capacity=1000.0, soc_min=100.0, soc_max=900.0,
@@ -76,7 +75,8 @@ class TestStepCost:
 
     def test_stage_costs_match_step_cost_bit_for_bit(self, costs, battery):
         # Random finite hours, SOC inside and on both sides of the band, and
-        # every action of a 10 kW lattice priced in one broadcast call.
+        # every action of a 10 kW lattice priced in one broadcast call of the
+        # two kernel parts.
         rng = np.random.default_rng(23)
         p_ch = np.concatenate([[0.0], np.arange(10.0, 1001.0, 10.0), np.zeros(10)])
         p_dis = np.concatenate([np.zeros(101), np.arange(10.0, 101.0, 10.0)])
@@ -87,7 +87,8 @@ class TestStepCost:
                 ren = float(rng.uniform(0.0, 600.0))
                 soc = float(rng.uniform(-100.0, 1100.0))
                 soc_next = soc_after(battery, soc, p_ch, p_dis)
-                got = stage_costs(cp, battery, load, ren, soc_next, p_ch, p_dis)
+                got = (stage_base(cp, battery, load, ren, p_ch, p_dis)
+                       + soc_penalty(cp, battery, soc_next))
                 for ch, dis, s_next, g in zip(p_ch, p_dis, soc_next, got):
                     a = ControlAction(p_ch=float(ch), p_dis=float(dis))
                     assert g == step_cost(cp, battery, load, ren, a,
@@ -173,25 +174,22 @@ class TestSequenceCost:
         rng = np.random.default_rng(17)
         loads = [float(x) for x in rng.uniform(0, 400, 4)]
         rens = [float(x) for x in rng.uniform(0, 300, 4)]
-        levels_ch = [0.0, 50.0, 100.0]
-        levels_dis = [0.0, 40.0]
-        pop_actions = []
-        for _ in range(32):
-            row = []
-            for _ in range(4):
-                if rng.random() < 0.5:
-                    row.append(ControlAction(p_ch=float(rng.choice(levels_ch))))
-                else:
-                    row.append(ControlAction(p_dis=float(rng.choice(levels_dis))))
-            pop_actions.append(row)
-        p_ch = np.array([[a.p_ch for a in row] for row in pop_actions])
-        p_dis = np.array([[a.p_dis for a in row] for row in pop_actions])
-        batch = sequence_costs_batch(costs, battery, loads, rens, 500.0,
-                                     p_ch, p_dis, terminal_soc_value=0.25)
-        for i, row in enumerate(pop_actions):
-            scalar = sequence_cost(costs, battery, loads, rens, 500.0, row,
+        lattice = build_lattice(100.0, 40.0, 50.0)  # idle, 50, 100 kW charge, 40 discharge
+        hp = make_problem(loads, rens, soc0=500.0, battery=battery, costs=costs,
+                          lattice=lattice, terminal_soc_value=0.25)
+        idx = rng.integers(0, len(lattice), (32, 4))
+        batch = hp.costs_of(idx)
+        for i, row in enumerate(idx):
+            scalar = sequence_cost(costs, battery, loads, rens, 500.0,
+                                   [lattice.actions[int(a)] for a in row],
                                    terminal_soc_value=0.25)
             assert batch[i] == scalar
+
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_batch_of_the_wrong_width_raises_length_mismatch(self, width):
+        hp = make_problem([100.0] * 4, [50.0] * 4)
+        with pytest.raises(LengthMismatch):
+            hp.costs_of(np.zeros((2, width), dtype=np.int64))
 
 
 class TestSplitKernel:
@@ -205,8 +203,6 @@ class TestSplitKernel:
         soc_next = soc_after(bp, soc, lat.p_ch, lat.p_dis)
         split = (stage_base(cp, bp, load, ren, lat.p_ch, lat.p_dis)
                  + soc_penalty(cp, bp, soc_next))
-        assert split.tolist() == stage_costs(cp, bp, load, ren, soc_next,
-                                             lat.p_ch, lat.p_dis).tolist()
         assert split.tolist() == [step_cost(cp, bp, load, ren, a, float(s)).total
                                   for a, s in zip(lat.actions, soc_next)]
 
@@ -223,8 +219,9 @@ class TestSplitKernel:
         loads = data.draw(st.lists(powers, min_size=n_steps, max_size=n_steps))
         rens = data.draw(st.lists(powers, min_size=n_steps, max_size=n_steps))
         idx = np.random.default_rng(seed).integers(0, len(lat), (rows, n_steps))
-        got = sequence_costs_batch(cp, bp, loads, rens, soc0, lat.p_ch[idx],
-                                   lat.p_dis[idx], terminal)
+        hp = make_problem(loads, rens, soc0=soc0, battery=bp, costs=cp, lattice=lat,
+                          terminal_soc_value=terminal)
+        got = hp.costs_of(idx)
         want = [sequence_cost(cp, bp, loads, rens, soc0,
                               [lat.actions[int(i)] for i in row], terminal)
                 for row in idx]

@@ -1,5 +1,6 @@
 """Action lattice, exact solvers, and the myopic comparison arm."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -12,9 +13,21 @@ from helios.core import (BudgetExceeded, ControlAction, CostParams, InvalidStep,
                          ValidationError)
 from helios.costing import step_cost
 from helios.evo import AcoParams, EvoParams, aco_solve, eg_solve
-from helios.horizon import (DEFAULT_MAX_ENUMERATION, _dp_tables, _solve_dp,
+from helios.horizon import (DEFAULT_MAX_ENUMERATION, ActionLattice, CandidateSequence,
+                            HorizonProblem, _dp_tables, _solve_dp,
                             _solve_enumeration, build_lattice, solve_exact,
                             solve_myopic)
+
+# The five solver entry points the engine reaches.
+SOLVERS = [
+    pytest.param(solve_exact, id="enumeration"),
+    pytest.param(lambda hp: solve_exact(hp, max_enumeration=0), id="dp"),
+    pytest.param(solve_myopic, id="myopic"),
+    pytest.param(lambda hp: eg_solve(hp, EvoParams(population=10, generations=3)),
+                 id="eg"),
+    pytest.param(lambda hp: aco_solve(hp, AcoParams(ants=5, iterations=3)),
+                 id="aco"),
+]
 
 
 def reference_dp(hp, soc_grid_step):
@@ -224,14 +237,7 @@ class TestHorizonProblem:
 
 # The overflow itself warns; the solvers must then refuse the window.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("solve", [
-    pytest.param(solve_exact, id="enumeration"),
-    pytest.param(lambda hp: solve_exact(hp, max_enumeration=0), id="dp"),
-    pytest.param(lambda hp: eg_solve(hp, EvoParams(population=10, generations=3)),
-                 id="eg"),
-    pytest.param(lambda hp: aco_solve(hp, AcoParams(ants=5, iterations=3)),
-                 id="aco"),
-])
+@pytest.mark.parametrize("solve", SOLVERS)
 def test_window_without_a_finite_cost_raises_validation_error(solve):
     # 1.7e308 kW loads are finite, but four hours of their backup cost
     # overflow to inf whatever the plan.
@@ -240,6 +246,41 @@ def test_window_without_a_finite_cost_raises_validation_error(solve):
     assert len(hp.lattice) ** hp.n_steps <= DEFAULT_MAX_ENUMERATION
     with pytest.raises(ValidationError, match="finite cost.*hour 5"):
         solve(hp)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_window_with_some_infinite_candidates_is_solved(solve):
+    # A 1.7e308 kW charge overflows the SOC penalty, and four hours of its
+    # backup cost overflow their sum; idle and discharge plans stay finite,
+    # so the up-front refusal must let the window through.
+    lattice = ActionLattice(delta_p=50.0, levels_ch=1, levels_dis=1,
+                            actions=(ControlAction(), ControlAction(p_ch=1.7e308),
+                                     ControlAction(p_dis=50.0)))
+    hp = make_problem([300.0] * 4, [0.0] * 4, lattice=lattice)
+    out = solve(hp)
+    plan = out if isinstance(out, CandidateSequence) else out[0]
+    assert math.isfinite(hp.cost_of(plan))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eg_refuses_a_window_without_a_finite_cost_before_pricing_a_candidate(
+        monkeypatch):
+    hp = make_problem([1.7e308] * 4, [0.0] * 4)
+    priced = []
+    monkeypatch.setattr(HorizonProblem, "costs_of", lambda self, idx: priced.append(idx))
+    with pytest.raises(ValidationError, match="finite cost.*hour 0"):
+        eg_solve(hp, EvoParams())
+    assert priced == []
+
+
+@pytest.mark.parametrize("soc0", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_non_finite_soc0_is_refused_naming_the_field(solve, soc0):
+    # Refused at construction, so no solver path ever prices it.
+    with pytest.raises(ValidationError, match=r"HorizonProblem\.soc0"):
+        solve(make_problem([300.0, 100.0, 220.0], [0.0, 50.0, 10.0], soc0=soc0))
 
 
 class TestSolveMyopic:
