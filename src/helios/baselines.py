@@ -1,19 +1,20 @@
 """Rule-based dispatch strategies and the strategy registry.
 
-The three rules act on the current hour only. Battery-First and 50/50 both
-want to discharge toward the load and store renewables in the same hour;
-since a control action cannot charge and discharge simultaneously, the two
-intents are netted into a single feasible action while the cost accounting
-keeps the gross discharge (the cycling the rule asked for). That preserves
-each rule's cost signature without a physically impossible action.
+The three rules act on the current hour only and state gross intents: the
+power to store and the power the battery should serve. Battery-First and
+50/50 want both in the same hour; since an action cannot charge and
+discharge at once, rule_step nets them into one action while the bill keeps
+the gross discharge (the cycling the rule asked for). Rules do not clip:
+the engine applies the plant's limits with clip_feasible, as for every
+strategy.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .battery import max_charge_kw, max_discharge_kw
+from .battery import max_discharge_kw
 from .core import BatteryParams, ControlAction, ValidationError
 
 
@@ -38,10 +39,6 @@ class StrategyKind(enum.Enum):
                 f"unknown strategy '{name}' (valid: {valid})") from None
 
 
-RULE_BASED = (StrategyKind.RENEWABLE_FIRST, StrategyKind.BATTERY_FIRST,
-              StrategyKind.FIFTY_FIFTY)
-
-
 class PolicyDecision(NamedTuple):
     """A rule's net action plus the gross discharge it should be billed for."""
 
@@ -49,35 +46,16 @@ class PolicyDecision(NamedTuple):
     billed_discharge: float  # kW
 
 
-def _net_action(p: BatteryParams, soc: float, gross_ch: float, gross_dis: float,
-                surplus: float, allow_backup_charging: bool) -> ControlAction:
-    """Net simultaneous intents into one feasible action."""
-    net = gross_ch - gross_dis
-    if net >= 0:
-        return ControlAction(p_ch=min(net, max_charge_kw(
-            p, soc, surplus, allow_backup_charging)))
-    return ControlAction(p_dis=min(-net, max_discharge_kw(p, soc)))
-
-
-def renewable_first_step(p: BatteryParams, soc: float, load: float,
-                         renewable: float,
-                         allow_backup_charging: bool = False) -> ControlAction:
-    """Serve load from renewables, store the surplus, discharge on deficit.
-
-    Any remaining deficit falls through to backup downstream.
-    """
-    surplus = max(0.0, renewable - load)
+def _renewable_first(p: BatteryParams, soc: float, load: float,
+                     renewable: float) -> tuple[float, float]:
+    """Gross (charge, discharge) intents of the Renewable-First rule: store the
+    surplus, discharge on deficit; the rest falls through to backup."""
     deficit = max(0.0, load - renewable)
-    if surplus > 0:
-        return ControlAction(p_ch=min(surplus, max_charge_kw(
-            p, soc, surplus, allow_backup_charging)))
-    if deficit > 0:
-        return ControlAction(p_dis=min(deficit, max_discharge_kw(p, soc)))
-    return ControlAction()
+    return max(0.0, renewable - load), min(deficit, max_discharge_kw(p, soc))
 
 
-def _battery_first_parts(p: BatteryParams, soc: float, load: float,
-                         renewable: float) -> tuple[float, float]:
+def _battery_first(p: BatteryParams, soc: float, load: float,
+                   renewable: float) -> tuple[float, float]:
     """Gross (charge, discharge) intents of the Battery-First rule.
 
     The battery serves the load up to its limits even when renewables
@@ -90,16 +68,8 @@ def _battery_first_parts(p: BatteryParams, soc: float, load: float,
     return gross_ch, gross_dis
 
 
-def battery_first_step(p: BatteryParams, soc: float, load: float,
-                       renewable: float,
-                       allow_backup_charging: bool = False) -> ControlAction:
-    """Battery serves the load first; renewables are stored for later use."""
-    return _netted(_battery_first_parts, p, soc, load, renewable,
-                   allow_backup_charging).action
-
-
-def _fifty_fifty_parts(p: BatteryParams, soc: float, load: float,
-                       renewable: float) -> tuple[float, float]:
+def _fifty_fifty(p: BatteryParams, soc: float, load: float,
+                 renewable: float) -> tuple[float, float]:
     """Gross (charge, discharge) intents of the 50/50 split rule.
 
     Renewables and battery each target half the load; a shortfall in one
@@ -118,34 +88,19 @@ def _fifty_fifty_parts(p: BatteryParams, soc: float, load: float,
     return gross_ch, gross_dis
 
 
-def fifty_fifty_step(p: BatteryParams, soc: float, load: float,
-                     renewable: float,
-                     allow_backup_charging: bool = False) -> ControlAction:
-    """Split the load evenly between renewables and battery, spill shortfalls."""
-    return _netted(_fifty_fifty_parts, p, soc, load, renewable,
-                   allow_backup_charging).action
-
-
-def _netted(parts: Callable, p: BatteryParams, soc: float, load: float,
-            renewable: float, allow_backup_charging: bool) -> PolicyDecision:
-    """Net a rule's gross intents into one action, billed at the gross discharge."""
-    gross_ch, gross_dis = parts(p, soc, load, renewable)
-    surplus = max(0.0, renewable - load)
-    action = _net_action(p, soc, gross_ch, gross_dis, surplus, allow_backup_charging)
-    return PolicyDecision(action=action, billed_discharge=gross_dis)
+_RULES = {StrategyKind.RENEWABLE_FIRST: _renewable_first,
+          StrategyKind.BATTERY_FIRST: _battery_first,
+          StrategyKind.FIFTY_FIFTY: _fifty_fifty}
+RULE_BASED = tuple(_RULES)
 
 
 def rule_step(kind: StrategyKind, p: BatteryParams, soc: float, load: float,
-              renewable: float,
-              allow_backup_charging: bool = False) -> PolicyDecision:
-    """Run one rule-based strategy step and report the billable discharge."""
-    if kind is StrategyKind.RENEWABLE_FIRST:
-        action = renewable_first_step(p, soc, load, renewable, allow_backup_charging)
-        return PolicyDecision(action=action, billed_discharge=action.p_dis)
-    if kind is StrategyKind.BATTERY_FIRST:
-        return _netted(_battery_first_parts, p, soc, load, renewable,
-                       allow_backup_charging)
-    if kind is StrategyKind.FIFTY_FIFTY:
-        return _netted(_fifty_fifty_parts, p, soc, load, renewable,
-                       allow_backup_charging)
-    raise ValidationError(f"{kind} is not a rule-based strategy")
+              renewable: float) -> PolicyDecision:
+    """One rule's intents netted into one unclipped action and its bill."""
+    rule = _RULES.get(kind)
+    if rule is None:
+        raise ValidationError(f"{kind} is not a rule-based strategy")
+    gross_ch, gross_dis = rule(p, soc, load, renewable)
+    net = gross_ch - gross_dis
+    action = ControlAction(p_ch=net) if net >= 0 else ControlAction(p_dis=-net)
+    return PolicyDecision(action=action, billed_discharge=gross_dis)

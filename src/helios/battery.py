@@ -1,9 +1,9 @@
-"""Battery state-of-charge dynamics and feasibility clipping.
+"""Battery state-of-charge dynamics and the plant's limits on an applied hour.
 
 The SOC transition is deliberately unclamped: candidate plans are allowed to
 leave [soc_min, soc_max] and pay penalty costs, which gives search methods a
-useful gradient toward the feasible band. Only actions that are actually
-applied to the system get hard-clipped via clip_feasible.
+useful gradient toward the feasible band. clip_feasible alone applies the
+plant's limits: the engine passes each hour's action through it once.
 """
 
 from __future__ import annotations
@@ -45,16 +45,17 @@ def max_discharge_kw(p: BatteryParams, soc: float) -> float:
     return min(p.p_dis_max, available)
 
 
-def clip_feasible(p: BatteryParams, soc: float, a: ControlAction,
-                  renewable_surplus: float,
+def clip_feasible(p: BatteryParams, soc: float, a: ControlAction, load: float,
+                  renewable: float,
                   allow_backup_charging: bool = False) -> ControlAction:
-    """Componentwise-largest feasible action a' <= a.
+    """Componentwise-largest action a' <= a that the plant can apply.
 
-    Guarantees the next SOC stays in [soc_min, soc_max], rate limits hold,
-    and charging draws only from the renewable surplus unless
-    allow_backup_charging is set. Feasible inputs are returned unchanged.
+    Keeps the next SOC in [soc_min, soc_max] and the rate limits; charging
+    draws only from the renewable surplus unless allow_backup_charging is
+    set, and discharge never exceeds the load (no dump load is modeled).
+    Feasible inputs are returned unchanged.
     """
-    p_ch = min(a.p_ch, max_charge_kw(p, soc, renewable_surplus,
-                                     allow_backup_charging))
-    p_dis = min(a.p_dis, max_discharge_kw(p, soc))
+    surplus = max(0.0, renewable - load)
+    p_ch = min(a.p_ch, max_charge_kw(p, soc, surplus, allow_backup_charging))
+    p_dis = min(a.p_dis, max_discharge_kw(p, soc), load)
     return ControlAction(p_ch=p_ch, p_dis=p_dis)

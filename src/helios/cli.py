@@ -79,7 +79,8 @@ def _build_parser() -> _Parser:
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="config file (defaults used when omitted)")
     p.add_argument("--data", required=True,
-                   help="hourly CSV path, or 'synthetic' for a generated day")
+                   help="hourly CSV path, or 'synthetic' for the fixed "
+                        "default-profile day (--seed does not change it)")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--set", dest="overrides", action="append", default=[],
@@ -108,7 +109,7 @@ def _load_run_inputs(args):
         cfg = parse_config_text(item.replace("=", " = ", 1), base=cfg)
     seed = _resolve_seed(args, cfg)
     if args.data == "synthetic":
-        scenario = generate_synthetic(days=1, seed=seed)
+        scenario = generate_synthetic(days=1)
     else:
         scenario = load_hourly_csv(args.data)
     return cfg, scenario, seed

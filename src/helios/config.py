@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .baselines import StrategyKind
-from .core import BatteryParams, CostParams, ParseError, ValidationError
+from .core import BatteryParams, CostParams, ParseError, ValidationError, check_finite_fields
 from .evo import AcoParams, EvoParams
 from .horizon import DEFAULT_DELTA_P, DEFAULT_MAX_ENUMERATION, DEFAULT_SOC_GRID_STEP
 from .renewable import RenewableModel, reference_model
@@ -49,6 +49,7 @@ class Config:
     def __post_init__(self):
         # Single-field checks only: --set lines are applied one at a time,
         # so a cross-field check could refuse a valid config halfway through.
+        check_finite_fields(self)
         for name, ok, rule in (("horizon", self.horizon >= 1, ">= 1"),
                                ("forecast_noise_kw", self.forecast_noise_kw >= 0, ">= 0"),
                                ("soc_grid_step", self.soc_grid_step > 0, "> 0"),

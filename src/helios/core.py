@@ -108,10 +108,10 @@ def check_series(name: str, series, steps: int) -> None:
 
 
 def check_finite_fields(obj) -> None:
-    """Raise ValidationError naming the first dataclass field that is NaN or inf."""
+    """Raise ValidationError naming the first float dataclass field that is NaN or inf."""
     for f in fields(obj):
         v = getattr(obj, f.name)
-        if not math.isfinite(v):
+        if isinstance(v, float) and not math.isfinite(v):
             raise ValidationError(
                 f"{type(obj).__name__}.{f.name} must be finite, got {v}")
 

@@ -11,13 +11,16 @@ terminal_soc_value * (soc_max - soc_N) rewards plans that end with energy in
 the battery (zero by default, and always >= 0 so search methods that weight
 by 1/J stay well defined).
 
-The scalar step_cost books applied hours; sequence_cost sums it, as the
-tests' reference. The vector step cost is stage_base (battery + backup, per
-step and action; HorizonProblem tabulates it once per window) plus
-soc_penalty (per next SOC). sequence_costs_batch prices rows of lattice
-indices by gathering from the window's tables, bit for bit sequence_cost:
-actions are exclusive, so soc + soc_after(bp, 0.0, ...) == soc_after(bp, soc,
-...), the SOC path is a sequential np.cumsum and so is the total.
+The scalar step_cost books applied hours, beside step_flows, which resolves
+an action clip_feasible returned into bus flows; both take the backup power
+from backup_power, whose formula stage_base vectorizes. sequence_cost sums
+step_cost, as the tests' reference. The vector step cost is stage_base
+(battery + backup, per step and action; HorizonProblem tabulates it once per
+window) plus soc_penalty (per next SOC). sequence_costs_batch prices rows of
+lattice indices by gathering from the window's tables, bit for bit
+sequence_cost: actions are exclusive, so soc + soc_after(bp, 0.0, ...) ==
+soc_after(bp, soc, ...), the SOC path is a sequential np.cumsum and so is
+the total.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ class CostBreakdown:
 
 @dataclass(frozen=True)
 class StepFlows:
-    """Power bookkeeping for one applied hour, all kW.
+    """Bus flows of one applied hour, all kW; the action holds p_ch and p_dis.
 
     Satisfies, by construction in step_flows():
       renewable_used + p_dis + backup - p_ch == load
@@ -57,8 +60,6 @@ class StepFlows:
     """
 
     renewable_used: float
-    p_ch: float
-    p_dis: float
     backup: float
     curtailed: float
 
@@ -69,21 +70,15 @@ def backup_power(load: float, renewable: float, a: ControlAction) -> float:
 
 
 def step_flows(load: float, renewable: float, a: ControlAction) -> StepFlows:
-    """Resolve an applied action into bus flows.
+    """Resolve an action clip_feasible returned into bus flows.
 
-    Discharge in excess of the load has nowhere to go (no dump load is
-    modeled), so the booked discharge is capped at the load; callers must
-    apply the same cap to the SOC update. Renewables cover whatever load and
-    charging the battery discharge does not, diesel covers the rest, and
-    leftover renewable generation is curtailed.
+    Diesel covers what renewables and the battery do not; renewables cover
+    the rest of the load and the charging, and the remainder is curtailed.
     """
-    p_dis = min(a.p_dis, load)
-    p_ch = a.p_ch
-    backup = max(0.0, load + p_ch - renewable - p_dis)
-    renewable_used = load + p_ch - p_dis - backup
-    curtailed = renewable - renewable_used
-    return StepFlows(renewable_used=renewable_used, p_ch=p_ch, p_dis=p_dis,
-                     backup=backup, curtailed=max(0.0, curtailed))
+    backup = backup_power(load, renewable, a)
+    renewable_used = load + a.p_ch - a.p_dis - backup
+    return StepFlows(renewable_used=renewable_used, backup=backup,
+                     curtailed=max(0.0, renewable - renewable_used))
 
 
 def step_cost(cp: CostParams, bp: BatteryParams, load: float, renewable: float,

@@ -1,11 +1,12 @@
 """Closed-loop receding-horizon simulation.
 
 The engine predicts renewable power once over the scenario. Each hour it
-asks the configured strategy for an action (rules act on the current hour;
-optimizers solve the N-step window, planned against that window's slice of
-the forecast, and yield its first action), hard-clips the action against the
-real state, books the resulting flows and costs, and steps the battery. The
-applied trajectory is recorded as a DispatchTrace.
+asks the configured strategy for an action (rules net their intents for the
+current hour; optimizers solve the N-step window against its slice of the
+forecast and yield the first action). One plant step books the hour:
+clip_feasible applies every limit of the plant, step_flows resolves the
+applied action into bus flows, step_soc steps the battery and step_cost
+bills it. The trajectory is recorded as a DispatchTrace.
 """
 
 from __future__ import annotations
@@ -132,8 +133,7 @@ def run_closed_loop(scenario: Scenario, strategy: StrategyKind, cfg: Config,
         renewable = forecast[t]
         if rule_based:
             # Rules are billed for the gross discharge they asked for.
-            action, billed = rule_step(strategy, bp, soc, load, renewable,
-                                       cfg.allow_backup_charging)
+            action, billed = rule_step(strategy, bp, soc, load, renewable)
         else:
             hp = _window_problem(cfg, scenario, t, soc, lattice, forecast,
                                  noise_rng)
@@ -143,11 +143,9 @@ def run_closed_loop(scenario: Scenario, strategy: StrategyKind, cfg: Config,
                 convergence.append((scenario.start_hour + t, window_trace))
             billed = None  # step_cost bills the applied discharge
 
-        surplus = max(0.0, renewable - load)
-        clipped = clip_feasible(bp, soc, action, surplus,
+        applied = clip_feasible(bp, soc, action, load, renewable,
                                 cfg.allow_backup_charging)
-        flows = step_flows(load, renewable, clipped)
-        applied = ControlAction(p_ch=flows.p_ch, p_dis=flows.p_dis)
+        flows = step_flows(load, renewable, applied)
         soc_next = step_soc(bp, soc, applied)
         cost = step_cost(cfg.costs, bp, load, renewable, applied, soc_next,
                          billed_discharge=billed)
@@ -157,7 +155,7 @@ def run_closed_loop(scenario: Scenario, strategy: StrategyKind, cfg: Config,
         records.append(HourRecord(
             hour=scenario.start_hour + t, load=load,
             renewable_available=renewable, renewable_used=flows.renewable_used,
-            p_ch=flows.p_ch, p_dis=flows.p_dis, backup=flows.backup,
+            p_ch=applied.p_ch, p_dis=applied.p_dis, backup=flows.backup,
             curtailed=flows.curtailed, soc=soc, cost=cost))
         total_cost += cost.total
         if not math.isfinite(total_cost):

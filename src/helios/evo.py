@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LengthMismatch, ValidationError
+from .core import LengthMismatch, ValidationError, check_finite_fields
 from .horizon import (ActionLattice, CandidateSequence, HorizonProblem,
                       sequence_from_indices)
 
@@ -48,6 +48,7 @@ class EvoParams:
     seed: int = 42
 
     def __post_init__(self):
+        check_finite_fields(self)
         if not (2 <= self.elite < self.population):
             raise ValidationError(
                 f"need 2 <= elite < population, got ({self.elite}, {self.population})")
@@ -76,6 +77,7 @@ class AcoParams:
     seed: int = 42
 
     def __post_init__(self):
+        check_finite_fields(self)
         if not (0.0 < self.evaporation < 1.0):
             raise ValidationError(
                 f"evaporation must be in (0, 1), got {self.evaporation}")

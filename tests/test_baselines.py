@@ -1,13 +1,19 @@
-"""Rule-based strategy behavior: branch logic, netting, feasibility."""
+"""Rule-based strategy behavior: branch logic, netting, billing."""
 
 import numpy as np
 import pytest
 
-from helios.baselines import (StrategyKind, battery_first_step,
-                              fifty_fifty_step, renewable_first_step,
-                              rule_step)
+from helios.baselines import StrategyKind, rule_step
 from helios.battery import clip_feasible
 from helios.core import ValidationError
+
+RF = StrategyKind.RENEWABLE_FIRST
+BF = StrategyKind.BATTERY_FIRST
+FF = StrategyKind.FIFTY_FIFTY
+
+
+def act(kind, battery, soc, load, renewable):
+    return rule_step(kind, battery, soc, load, renewable).action
 
 
 def test_strategy_parse_round_trip():
@@ -22,17 +28,17 @@ def test_strategy_parse_rejects_unknown():
 
 class TestRenewableFirst:
     def test_surplus_charges(self, battery):
-        a = renewable_first_step(battery, 500.0, load=200.0, renewable=300.0)
+        a = act(RF, battery, 500.0, load=200.0, renewable=300.0)
         assert a.p_dis == 0.0
         assert a.p_ch == pytest.approx(100.0)
 
     def test_deficit_discharges_up_to_rate_limit(self, battery):
-        a = renewable_first_step(battery, 500.0, load=300.0, renewable=100.0)
+        a = act(RF, battery, 500.0, load=300.0, renewable=100.0)
         assert a.p_ch == 0.0
         assert a.p_dis == 100.0  # deficit 200 capped by p_dis_max
 
     def test_dead_calm_zero_load_idles(self, battery):
-        assert renewable_first_step(battery, 500.0, 0.0, 0.0).is_idle
+        assert act(RF, battery, 500.0, 0.0, 0.0).is_idle
 
     def test_never_discharges_while_curtailing(self, battery):
         from helios.costing import step_flows
@@ -41,9 +47,10 @@ class TestRenewableFirst:
             load = float(rng.uniform(0, 400))
             ren = float(rng.uniform(0, 400))
             soc = float(rng.uniform(100, 900))
-            a = renewable_first_step(battery, soc, load, ren)
+            a = clip_feasible(battery, soc, act(RF, battery, soc, load, ren),
+                              load, ren)
             f = step_flows(load, ren, a)
-            assert not (f.p_dis > 1e-9 and f.curtailed > 1e-9)
+            assert not (a.p_dis > 1e-9 and f.curtailed > 1e-9)
 
 
 class TestBatteryFirst:
@@ -58,12 +65,11 @@ class TestBatteryFirst:
         assert decision.action.p_ch == pytest.approx(220.0)
 
     def test_depleted_battery_behaves_like_renewable_only(self, battery):
-        a = battery_first_step(battery, battery.soc_min, load=300.0,
-                               renewable=100.0)
+        a = act(BF, battery, battery.soc_min, load=300.0, renewable=100.0)
         assert a.p_dis == 0.0
 
     def test_zero_everything_idles(self, battery):
-        assert battery_first_step(battery, 500.0, 0.0, 0.0).is_idle
+        assert act(BF, battery, 500.0, 0.0, 0.0).is_idle
 
 
 class TestFiftyFifty:
@@ -76,27 +82,23 @@ class TestFiftyFifty:
         assert decision.action.p_ch == pytest.approx(100.0)
 
     def test_renewable_shortfall_spills_to_battery(self, battery):
-        a = fifty_fifty_step(battery, 500.0, load=200.0, renewable=50.0)
+        a = act(FF, battery, 500.0, load=200.0, renewable=50.0)
         # renewable 50 + battery min(100, p_dis_max) -> 100; remainder backup
         assert a.p_dis == pytest.approx(100.0)
 
     def test_zero_load_stores_full_surplus(self, battery):
-        a = fifty_fifty_step(battery, 500.0, load=0.0, renewable=250.0)
+        a = act(FF, battery, 500.0, load=0.0, renewable=250.0)
         assert a.p_dis == 0.0
         assert a.p_ch == pytest.approx(250.0)
 
 
-def test_policies_are_feasible_by_construction(battery):
-    rng = np.random.default_rng(8)
-    for _ in range(400):
-        kind = StrategyKind(
-            str(rng.choice(["renewable_first", "battery_first", "fifty_fifty"])))
-        load = float(rng.uniform(0, 500))
-        ren = float(rng.uniform(0, 400))
-        soc = float(rng.uniform(100, 900))
-        action = rule_step(kind, battery, soc, load, ren).action
-        surplus = max(0.0, ren - load)
-        assert clip_feasible(battery, soc, action, surplus) == action
+def test_rules_state_intent_and_leave_the_limits_to_clip_feasible(battery):
+    # 400 kW of surplus against 50 kWh of headroom: the rule asks for all
+    # of it, and only the engine's clip_feasible caps it at the headroom
+    decision = rule_step(RF, battery, 850.0, load=100.0, renewable=500.0)
+    assert decision.action.p_ch == 400.0
+    clipped = clip_feasible(battery, 850.0, decision.action, 100.0, 500.0)
+    assert clipped.p_ch == pytest.approx(50.0 / 0.9)
 
 
 def test_policies_are_deterministic(battery):

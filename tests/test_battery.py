@@ -6,6 +6,7 @@ import pytest
 from helios.battery import (clip_feasible, max_charge_kw, max_discharge_kw,
                             soc_after, step_soc)
 from helios.core import ControlAction
+from helios.costing import step_flows
 
 
 def test_charge_step(battery):
@@ -58,31 +59,39 @@ def test_round_trip_loss(battery):
 class TestClipFeasible:
     def test_fills_exactly_to_soc_max(self, battery):
         clipped = clip_feasible(battery, 890.0, ControlAction(p_ch=100.0),
-                                renewable_surplus=200.0)
+                                load=50.0, renewable=250.0)
         # solve 890 + 0.9 * x = 900
         assert clipped.p_ch == pytest.approx(10.0 / 0.9, rel=1e-12)
         assert step_soc(battery, 890.0, clipped) == pytest.approx(900.0)
 
     def test_no_discharge_headroom_at_soc_min(self, battery):
         clipped = clip_feasible(battery, 100.0, ControlAction(p_dis=50.0),
-                                renewable_surplus=0.0)
+                                load=200.0, renewable=0.0)
         assert clipped.p_dis == 0.0
 
     def test_feasible_action_unchanged(self, battery):
         a = ControlAction(p_ch=50.0)
-        assert clip_feasible(battery, 500.0, a, renewable_surplus=80.0) == a
+        assert clip_feasible(battery, 500.0, a, load=100.0, renewable=180.0) == a
         d = ControlAction(p_dis=50.0)
-        assert clip_feasible(battery, 500.0, d, renewable_surplus=0.0) == d
+        assert clip_feasible(battery, 500.0, d, load=80.0, renewable=0.0) == d
 
     def test_charging_capped_by_surplus(self, battery):
         clipped = clip_feasible(battery, 500.0, ControlAction(p_ch=300.0),
-                                renewable_surplus=120.0)
+                                load=80.0, renewable=200.0)
         assert clipped.p_ch == 120.0
 
     def test_backup_charging_flag_lifts_surplus_cap(self, battery):
         clipped = clip_feasible(battery, 500.0, ControlAction(p_ch=300.0),
-                                renewable_surplus=0.0, allow_backup_charging=True)
+                                load=100.0, renewable=0.0,
+                                allow_backup_charging=True)
         assert clipped.p_ch == 300.0
+
+    def test_discharge_capped_at_load(self, battery):
+        # no dump load: discharge beyond the load has nowhere to go
+        clipped = clip_feasible(battery, 500.0, ControlAction(p_dis=100.0),
+                                load=60.0, renewable=0.0)
+        assert clipped.p_dis == 60.0
+        assert step_flows(60.0, 0.0, clipped).backup == 0.0
 
     def test_random_actions_always_land_in_bounds(self, battery):
         rng = np.random.default_rng(11)
@@ -92,9 +101,14 @@ class TestClipFeasible:
                 a = ControlAction(p_ch=float(rng.uniform(0, battery.p_ch_max)))
             else:
                 a = ControlAction(p_dis=float(rng.uniform(0, battery.p_dis_max)))
-            surplus = float(rng.uniform(0.0, 400.0))
-            nxt = step_soc(battery, soc, clip_feasible(battery, soc, a, surplus))
+            load = float(rng.uniform(0.0, 400.0))
+            ren = float(rng.uniform(0.0, 800.0))
+            clipped = clip_feasible(battery, soc, a, load, ren)
+            nxt = step_soc(battery, soc, clipped)
             assert battery.soc_min - 1e-9 <= nxt <= battery.soc_max + 1e-9
+            assert clipped.p_ch <= max(0.0, ren - load)
+            assert clipped.p_dis <= load
+            assert clip_feasible(battery, soc, clipped, load, ren) == clipped
 
 
 def test_rate_helpers_respect_limits(battery):

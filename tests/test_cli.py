@@ -183,6 +183,13 @@ def test_overflowing_load_in_csv_exits_1(tmp_path, capsys):
     ("forecast_noise_kw=-1", "Config.forecast_noise_kw"),
     ("soc_grid_step_kwh=0", "Config.soc_grid_step"),
     ("lattice_delta_p_kw=-10", "Config.delta_p"),
+    ("terminal_soc_value=nan", "Config.terminal_soc_value"),
+    ("forecast_noise_kw=inf", "Config.forecast_noise_kw"),
+    ("soc_grid_step_kwh=inf", "Config.soc_grid_step"),
+    ("aco_alpha=nan", "AcoParams.alpha"),
+    ("aco_beta=inf", "AcoParams.beta"),
+    ("aco_pheromone_init=inf", "AcoParams.pheromone_init"),
+    ("evo_epsilon_fitness=inf", "EvoParams.epsilon_fitness"),
 ])
 def test_bad_config_scalar_exits_1_naming_the_field(tmp_path, capsys, setting, field):
     assert cli_main(["simulate", "--strategy", "renewable_first",

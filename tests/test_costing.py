@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import brute_force_optimum, make_problem
 from helios.core import (BatteryParams, ControlAction, CostParams, LengthMismatch,
                          NegativeValue)
-from helios.battery import soc_after
+from helios.battery import clip_feasible, soc_after
 from helios.costing import (CostBreakdown, backup_power, sequence_cost,
                             soc_penalty, stage_base, step_cost, step_flows)
 from helios.horizon import build_lattice, solve_exact
@@ -96,27 +96,26 @@ class TestStepCost:
 
 
 class TestStepFlows:
-    def test_balance_holds_exactly(self):
+    def test_balance_holds_exactly(self, battery):
         rng = np.random.default_rng(2)
         for _ in range(1000):
             load = float(rng.uniform(0, 500))
             ren = float(rng.uniform(0, 400))
+            soc = float(rng.uniform(battery.soc_min, battery.soc_max))
             if rng.random() < 0.5:
                 a = ControlAction(p_ch=float(rng.uniform(0, 300)))
             else:
                 a = ControlAction(p_dis=float(rng.uniform(0, 150)))
+            a = clip_feasible(battery, soc, a, load, ren,
+                              allow_backup_charging=bool(rng.random() < 0.3))
             f = step_flows(load, ren, a)
-            assert abs(f.renewable_used + f.p_dis + f.backup - f.p_ch - load) < 1e-9
+            assert abs(f.renewable_used + a.p_dis + f.backup - a.p_ch - load) < 1e-9
             assert f.renewable_used + f.curtailed == pytest.approx(ren, abs=1e-9)
-            for v in (f.renewable_used, f.p_ch, f.p_dis, f.backup, f.curtailed):
+            for v in (f.renewable_used, f.backup, f.curtailed):
                 assert v >= 0.0
             # diesel never burns while renewables are thrown away
             assert not (f.backup > 1e-9 and f.curtailed > 1e-9)
-
-    def test_discharge_capped_at_load(self):
-        f = step_flows(60.0, 0.0, ControlAction(p_dis=100.0))
-        assert f.p_dis == 60.0
-        assert f.backup == 0.0
+            assert f.backup == backup_power(load, ren, a)
 
     def test_surplus_is_curtailed_when_not_stored(self):
         f = step_flows(100.0, 300.0, ControlAction())

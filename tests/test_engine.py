@@ -1,17 +1,23 @@
 """Closed-loop engine: records, invariants, reproducibility, comparisons."""
 
+import os
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_problem
 from helios.baselines import StrategyKind
-from helios.config import Config
-from helios.core import BatteryParams, Scenario, ValidationError
+from helios.battery import clip_feasible
+from helios.config import Config, load_config, parse_config_text
+from helios.core import BatteryParams, ControlAction, Scenario, ValidationError
 from helios.data import SyntheticProfile, generate_synthetic
 from helios.engine import compare_strategies, run_closed_loop
 from helios.horizon import build_lattice, solve_exact
 from helios.renewable import RenewableModel
+
+CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.cfg")
 
 
 def reference_scenario():
@@ -21,15 +27,24 @@ def reference_scenario():
 
 
 def check_trace_invariants(trace, cfg):
-    bp = cfg.battery
+    """Balance, SOC band and total; every applied action is one that
+    clip_feasible leaves unchanged, and the backup bill is the booked
+    backup power, bit for bit."""
+    bp, cp = cfg.battery, cfg.costs
     running_total = 0.0
+    soc = trace.soc_start
     for r in trace.records:
         residual = r.renewable_used + r.p_dis + r.backup - r.p_ch - r.load
         assert abs(residual) < 1e-9
         assert r.renewable_used + r.curtailed == pytest.approx(
             r.renewable_available, abs=1e-9)
         assert bp.soc_min <= r.soc <= bp.soc_max
+        applied = ControlAction(p_ch=r.p_ch, p_dis=r.p_dis)
+        assert clip_feasible(bp, soc, applied, r.load, r.renewable_available,
+                             cfg.allow_backup_charging) == applied
+        assert r.cost.backup == cp.c_backup * r.backup * bp.dt
         running_total += r.cost.total
+        soc = r.soc
     assert trace.total_cost == running_total
 
 
@@ -194,3 +209,61 @@ class TestCompareStrategies:
         ac = run_closed_loop(scenario, StrategyKind.AC_MPC, cfg, seed=31)
         assert exact.total_cost <= eg.total_cost + 1e-9
         assert exact.total_cost <= ac.total_cost + 1e-9
+
+
+# The golden jittered day (tests/test_golden.py) and a jittered 3-day input
+# that charges from diesel: inputs on which the booked backup power and the
+# backup bill once came from two formulas that differ in the last bits.
+JITTERED_DAY = (dict(
+    days=1, profile=SyntheticProfile(wind_jitter_ms=2.0), seed=5), 7,
+    "lattice_delta_p_kw = 25\nterminal_soc_value = 0.02\nmax_enumeration = 0\n"
+    "horizon_steps = 4\nforecast_noise_kw = 30\n")
+BACKUP_CHARGING_3_DAYS = (dict(
+    days=3, profile=SyntheticProfile(wind_jitter_ms=3.0), seed=9), 5,
+    "allow_backup_charging = true\nterminal_soc_value = 0.05\n"
+    "forecast_noise_kw = 15\nhorizon_steps = 4\nmax_enumeration = 0\n"
+    "evo_population = 30\nevo_generations = 20\nevo_local_search_budget = 50\n"
+    "aco_ants = 10\naco_iterations = 10\n")
+
+
+@pytest.mark.parametrize("scenario_args,seed,overrides",
+                         [JITTERED_DAY, BACKUP_CHARGING_3_DAYS],
+                         ids=["jittered_day", "backup_charging_3_days"])
+def test_every_applied_hour_is_one_plant_step(scenario_args, seed, overrides):
+    cfg = parse_config_text(overrides, base=load_config(CONFIG))
+    scenario = generate_synthetic(**scenario_args)
+    result = compare_strategies(scenario, list(StrategyKind), cfg, seed=seed)
+    for trace in result.traces:
+        check_trace_invariants(trace, cfg)
+
+
+@st.composite
+def closed_loop_cases(draw):
+    """A random finite scenario of 6-48 h and a config with small search
+    budgets, backup charging and forecast noise each on or off."""
+    steps = draw(st.integers(6, 48))
+
+    def series(elements):
+        return tuple(draw(st.lists(elements, min_size=steps, max_size=steps)))
+    scenario = Scenario(start_hour=draw(st.integers(0, 23)), steps=steps,
+                        irradiance=series(st.floats(0.0, 1.0)),
+                        wind_speed=series(st.floats(0.0, 25.0)),
+                        load=series(st.floats(0.0, 500.0)))
+    cfg = parse_config_text(
+        "horizon_steps = 3\nevo_population = 8\nevo_generations = 3\n"
+        "evo_local_search_budget = 5\naco_ants = 4\naco_iterations = 3\n"
+        "soc_grid_step_kwh = 5\n",
+        base=replace(Config(),
+                     allow_backup_charging=draw(st.booleans()),
+                     forecast_noise_kw=draw(st.sampled_from([0.0, 40.0])),
+                     initial_soc=draw(st.floats(100.0, 900.0)),
+                     terminal_soc_value=draw(st.sampled_from([0.0, 0.2]))))
+    return scenario, cfg, draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=closed_loop_cases())
+def test_every_strategy_keeps_the_plant_step_invariants(case):
+    scenario, cfg, seed = case
+    for kind in StrategyKind:
+        check_trace_invariants(run_closed_loop(scenario, kind, cfg, seed=seed), cfg)
