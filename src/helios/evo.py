@@ -151,9 +151,8 @@ def _crossover_batch(a: np.ndarray, b: np.ndarray, k: int,
     """Crossover of paired parent rows at k distinct cuts drawn per pair."""
     pairs, n = a.shape
     cuts = rng.random((pairs, n - 1)).argsort(axis=1)[:, :k] + 1
-    flags = np.zeros((pairs, n), dtype=np.int64)
-    np.put_along_axis(flags, cuts, 1, axis=1)
-    use_b = (np.cumsum(flags, axis=1) % 2).astype(bool)
+    # Gene j comes from b when an odd number of cuts lie at or before it.
+    use_b = np.logical_xor.reduce(cuts[:, :, None] <= np.arange(n), axis=1)
     return np.where(use_b, b, a), np.where(use_b, a, b)
 
 
@@ -232,8 +231,7 @@ def eg_solve(hp: HorizonProblem, ep: EvoParams
     """
     hp.require_feasible()
     rng = np.random.default_rng(ep.seed)
-    n = hp.n_steps
-    n_actions = len(hp.lattice)
+    n, n_actions = hp.n_steps, len(hp.lattice)
     m = ep.population
 
     pop = _lhs_indices(rng, m, n, n_actions)
@@ -255,10 +253,8 @@ def eg_solve(hp: HorizonProblem, ep: EvoParams
             c1, c2 = _crossover_batch(pa, pb, k, rng)
         else:  # one-gene sequences cannot be cut
             c1, c2 = pa.copy(), pb.copy()
-        children = np.empty((2 * n_pairs, n), dtype=np.int64)
-        children[0::2] = c1
-        children[1::2] = c2
-        children = children[:n_children]
+        # Rows c1[0], c2[0], c1[1], ...: each pair's children side by side.
+        children = np.concatenate((c1, c2), axis=1).reshape(-1, n)[:n_children]
         children = _mutate_batch(children, n_actions, ep.p_mut, rng)
         child_costs = hp.costs_of(children)
 
@@ -305,8 +301,7 @@ def aco_solve(hp: HorizonProblem, ap: AcoParams
     """
     hp.require_feasible()
     rng = np.random.default_rng(ap.seed)
-    n = hp.n_steps
-    n_actions = len(hp.lattice)
+    n, n_actions = hp.n_steps, len(hp.lattice)
 
     tau = np.full((n, n_actions), ap.pheromone_init, dtype=float)
     best_genome: np.ndarray | None = None

@@ -9,10 +9,11 @@ strategy and as the oracle that the metaheuristics are tested against.
 HorizonProblem owns a window's objective: the forecast, the tables
 base_costs (SOC-free stage costs) and soc_steps, costs_of (gathers from them),
 transitions, terminal_credit and require_feasible; solvers only read these.
-Enumeration prices _ENUM_CHUNK = 2048 rows per call; with 16384 the block's
-temporaries were faulted in anew on every chunk. DP's successor nodes (int32)
-and SOC penalties are the same at every stage, so _dp_tables computes them
-once; a stage adds only its row of base_costs.
+Enumeration walks the prefix tree depth first, in lexicographic order, and
+prices each shared prefix once, summed as costs_of sums; blocks of at most
+_ENUM_CHUNK // n_actions nodes keep memory O(n_steps * _ENUM_CHUNK). DP's
+successor nodes (int32) and SOC penalties are the same at every stage, so
+_dp_tables computes them once; a stage adds only its row of base_costs.
 """
 
 from __future__ import annotations
@@ -236,25 +237,29 @@ def solve_exact(hp: HorizonProblem,
 
 
 def _solve_enumeration(hp: HorizonProblem) -> tuple[CandidateSequence, float]:
-    n_actions = len(hp.lattice)
-    n_sequences = n_actions ** hp.n_steps
-    # Sequence number k in lexicographic order has digit t equal to
-    # (k // n_actions**(n_steps-1-t)) % n_actions.
-    radix = n_actions ** np.arange(hp.n_steps - 1, -1, -1, dtype=np.int64)
-    best_cost = np.inf
-    best_idx: np.ndarray | None = None
-    # Chunked lexicographic scan; np.argmin picks the first (smallest) index
-    # within a chunk, and strict < keeps the earliest across chunks.
-    for start in range(0, n_sequences, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, n_sequences)
-        idx = (np.arange(start, stop, dtype=np.int64)[:, None] // radix) % n_actions
-        costs = hp.costs_of(idx)
-        i = int(np.argmin(costs))
-        if costs[i] < best_cost:
-            best_cost = float(costs[i])
-            best_idx = idx[i]
-    best_cost = hp.require_finite(best_cost)
-    return sequence_from_indices(hp.lattice, best_idx), best_cost
+    n_actions, last = len(hp.lattice), hp.n_steps - 1
+    block = max(1, _ENUM_CHUNK // n_actions)
+    best = [np.inf, 0]  # cost and lexicographic number of the earliest minimum
+
+    def expand(t, soc, partial, first):
+        # Depth-t nodes first, first+1, ...: child f (flat) is first*n_actions + f.
+        soc_next, cost = hp.transitions(soc[:, None])
+        cost += hp.base_costs[t]
+        cost += partial[:, None]
+        if t < last:
+            for s in range(0, cost.size, block):
+                expand(t + 1, soc_next.ravel()[s:s + block], cost.ravel()[s:s + block],
+                       first * n_actions + s)
+            return
+        if hp.terminal_soc_value != 0.0:
+            cost += hp.terminal_credit(soc_next)
+        i = int(np.argmin(cost))  # the block's first minimum; strict < the first block's
+        if cost.flat[i] < best[0]:
+            best[:] = float(cost.flat[i]), first * n_actions + i
+
+    expand(0, np.array([hp.soc0]), np.zeros(1), 0)
+    digits = np.unravel_index(best[1], (n_actions,) * hp.n_steps)
+    return sequence_from_indices(hp.lattice, digits), hp.require_finite(best[0])
 
 
 def _solve_dp(hp: HorizonProblem, soc_grid_step: float

@@ -6,6 +6,7 @@ from helios.cli import cli_main
 from helios.config import Config, save_config
 from helios.data import load_hourly_csv
 from helios.renewable import DEFAULT_COEFFS
+from test_io import FLOAT_KEYS, field_name
 
 
 @pytest.fixture
@@ -196,6 +197,17 @@ def test_bad_config_scalar_exits_1_naming_the_field(tmp_path, capsys, setting, f
                      "--data", "synthetic", "--out-dir", str(tmp_path / "o"),
                      "--set", setting]) == 1
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_set_of_every_float_key_exits_1_naming_the_field(tmp_path, capsys,
+                                                                      key):
+    for raw in ("nan", "-inf"):
+        assert cli_main(["simulate", "--strategy", "renewable_first",
+                         "--data", "synthetic", "--out-dir", str(tmp_path / "o"),
+                         "--set", f"{key}={raw}"]) == 1
+        assert f"{field_name(key)} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("hours,row", [([0, 1, 3, 4], 2), ([0, 2, 1, 3], 1)],

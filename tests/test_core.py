@@ -1,6 +1,8 @@
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helios.core import (BatteryParams, ControlAction, CostParams,
                          LengthMismatch, NegativeValue, Scenario,
@@ -120,6 +122,18 @@ class TestNonFiniteInputRefused:
         kw[series][1] = bad
         with pytest.raises(ValidationError, match=rf"{series}\[1\].*not finite"):
             Scenario(start_hour=0, steps=3, **kw)
+
+    @settings(max_examples=150, deadline=None)
+    @given(series=st.sampled_from(["irradiance", "wind_speed", "load"]),
+           bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+           values=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=48),
+           data=st.data())
+    def test_any_non_finite_series_entry(self, series, bad, values, data):
+        i = data.draw(st.integers(0, len(values) - 1), label="index")
+        kw = {name: list(values) for name in ("irradiance", "wind_speed", "load")}
+        kw[series][i] = bad
+        with pytest.raises(ValidationError, match=rf"{series}\[{i}\] = .* not finite"):
+            Scenario(start_hour=0, steps=len(values), **kw)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("cls, kw", [(CostParams, {}),

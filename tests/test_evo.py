@@ -214,6 +214,25 @@ class TestCrossover:
             assert tuple(c2) == tuple(small_lattice.actions[i] for i in w2[0])
             assert rng_a.random() == rng_b.random()  # same number of draws
 
+    @pytest.mark.parametrize("n", [2, 3, 6, 9])
+    def test_batch_kernel_equals_the_cut_flag_cumsum_formula(self, n):
+        def reference(a, b, k, rng):
+            pairs = a.shape[0]
+            cuts = rng.random((pairs, n - 1)).argsort(axis=1)[:, :k] + 1
+            flags = np.zeros((pairs, n), dtype=np.int64)
+            np.put_along_axis(flags, cuts, 1, axis=1)
+            use_b = (np.cumsum(flags, axis=1) % 2).astype(bool)
+            return np.where(use_b, b, a), np.where(use_b, a, b)
+
+        a, b = np.random.default_rng(n).integers(0, 23, (2, 58, n))
+        for k in range(1, n):
+            rng_a, rng_b = np.random.default_rng(k), np.random.default_rng(k)
+            got = _crossover_batch(a, b, k, rng_a)
+            want = reference(a, b, k, rng_b)
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1].tolist() == want[1].tolist()
+            assert rng_a.random() == rng_b.random()
+
 
 class TestMutate:
     def test_zero_probability_is_identity(self, small_lattice):

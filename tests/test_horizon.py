@@ -1,10 +1,14 @@
 """Action lattice, exact solvers, and the myopic comparison arm."""
 
+import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helios.horizon
 from conftest import action_indices, brute_force_optimum, make_problem, random_small_problem
@@ -69,6 +73,28 @@ def reference_dp(hp, soc_grid_step):
         idx.append(int(policy[t][node]))
         node = int(snap(soc_after(bp, grid[node], p_ch[idx[-1]], p_dis[idx[-1]])))
     return values, policy, q0.min(), idx, hp.cost_of([hp.lattice.actions[i] for i in idx])
+
+
+def reference_enumeration(hp, chunk=2048):
+    """Mixed-radix chunked scan: every sequence priced from scratch by costs_of.
+
+    Sequence number k in lexicographic order has digit t equal to
+    (k // n_actions**(n_steps-1-t)) % n_actions. np.argmin picks the first
+    minimum within a chunk, and strict < keeps the earliest across chunks.
+    Returns the plan's action indices and its cost.
+    """
+    n_actions = len(hp.lattice)
+    n_sequences = n_actions ** hp.n_steps
+    radix = n_actions ** np.arange(hp.n_steps - 1, -1, -1, dtype=np.int64)
+    best_cost, best_idx = np.inf, None
+    for start in range(0, n_sequences, chunk):
+        stop = min(start + chunk, n_sequences)
+        idx = (np.arange(start, stop, dtype=np.int64)[:, None] // radix) % n_actions
+        costs = hp.costs_of(idx)
+        i = int(np.argmin(costs))
+        if costs[i] < best_cost:
+            best_cost, best_idx = float(costs[i]), idx[i].tolist()
+    return best_idx, best_cost
 
 
 class TestBuildLattice:
@@ -171,6 +197,66 @@ class TestSolveExact:
             combo, oracle = brute_force_optimum(hp)  # itertools.product scan
             assert action_indices(hp, seq) == combo
             assert cost == oracle
+
+    # 23, 12, 6 and 3 actions; loads and renewables from a coarse set make
+    # many sequences tie; soc0 reaches far outside the [100, 900] band, so
+    # plans pay SOC penalties over several steps.
+    @settings(max_examples=80, deadline=None)
+    @given(delta_p=st.sampled_from([50.0, 100.0, 250.0, 1000.0]),
+           terminal=st.sampled_from([0.0, 0.2, 0.0137]),
+           soc0=st.floats(-300.0, 1500.0), data=st.data())
+    def test_tree_scan_equals_the_mixed_radix_scan_bit_for_bit(self, delta_p, terminal,
+                                                                soc0, data):
+        lattice = build_lattice(1000.0, 100.0, delta_p)
+        max_steps = max(n for n in range(1, 13) if len(lattice) ** n <= 60_000)
+        n = data.draw(st.integers(1, max_steps), label="n_steps")
+        power = st.one_of(st.floats(0.0, 700.0), st.sampled_from([0.0, 50.0, 100.0, 250.0]))
+        hp = make_problem(data.draw(st.lists(power, min_size=n, max_size=n), label="load"),
+                          data.draw(st.lists(power, min_size=n, max_size=n), label="ren"),
+                          soc0=soc0, lattice=lattice, terminal_soc_value=terminal)
+        seq, cost = _solve_enumeration(hp)
+        ref_idx, ref_cost = reference_enumeration(hp)
+        assert list(action_indices(hp, seq)) == ref_idx
+        assert cost == ref_cost
+
+    @pytest.mark.parametrize("chunk", [2048, 81, 7])
+    def test_tree_prices_every_leaf_as_costs_of_in_lexicographic_order(self, chunk,
+                                                                       monkeypatch):
+        # Records each last-level block the walk takes its argmin over.
+        leaves = []
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def argmin(self, a):
+                leaves.append(a.ravel().copy())
+                return np.argmin(a)
+
+        # Above the band for several steps: every leaf pays SOC penalties.
+        hp = make_problem([320.0, 180.0, 40.0, 260.0], [90.0, 140.0, 300.0, 75.5],
+                          soc0=1234.5, lattice=build_lattice(1000.0, 100.0, 100.0),
+                          terminal_soc_value=0.0137)
+        monkeypatch.setattr(helios.horizon, "_ENUM_CHUNK", chunk)
+        monkeypatch.setattr(helios.horizon, "np", RecordingNumpy())
+        _solve_enumeration(hp)
+        idx = np.array(list(itertools.product(range(len(hp.lattice)), repeat=hp.n_steps)))
+        assert np.concatenate(leaves).tolist() == hp.costs_of(idx).tolist()
+
+    def test_enumeration_memory_is_bounded_by_the_block_not_the_window(self):
+        # 3 actions over 12 steps: 531441 sequences, a frontier block per level.
+        hp = make_problem([200.0] * 12, [150.0] * 12, soc0=480.0,
+                          lattice=build_lattice(1000.0, 100.0, 1000.0),
+                          terminal_soc_value=0.0137)
+        assert len(hp.lattice) ** hp.n_steps == 531441
+        _ = hp.base_costs, hp.soc_steps  # price the window before tracing the scan
+        tracemalloc.start()
+        try:
+            _solve_enumeration(hp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("delta_p, grid_step", [(50.0, 10.0), (10.0, 0.5)],
                              ids=["coarse", "fine"])

@@ -3,13 +3,26 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helios.config import Config, config_to_text, parse_config_text
+from helios.config import _SCHEMA, Config, config_to_text, parse_config_text
 from helios.core import ParseError, ValidationError
 from helios.data import (SyntheticProfile, generate_synthetic,
                          load_fit_samples, load_hourly_csv,
                          write_scenario_csv)
 from helios.renewable import reference_model
+
+FLOAT_KEYS = [key for key, (_, _, conv) in _SCHEMA.items() if conv is float]
+INT_KEYS = [key for key, (_, _, conv) in _SCHEMA.items() if conv is int]
+NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1e400"])
+
+
+def field_name(key: str) -> str:
+    """`Type.field` of a config key, as a ValidationError names it."""
+    group, attr, _ = _SCHEMA[key]
+    owner = Config() if group is None else getattr(Config(), group)
+    return f"{type(owner).__name__}.{attr}"
 
 
 class TestHourlyCsv:
@@ -114,6 +127,18 @@ class TestConfigFile:
     def test_bad_number_is_rejected(self):
         with pytest.raises(ParseError, match="horizon_steps"):
             parse_config_text("horizon_steps = often\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=st.sampled_from(FLOAT_KEYS), raw=NON_FINITE)
+    def test_non_finite_float_key_is_refused_naming_its_field(self, key, raw):
+        with pytest.raises(ValidationError, match=rf"{field_name(key)} must be finite"):
+            parse_config_text(f"{key} = {raw}\n")
+
+    @pytest.mark.parametrize("key", INT_KEYS)
+    def test_non_finite_int_key_is_a_parse_error_naming_the_key(self, key):
+        for raw in ("nan", "inf", "1e999"):
+            with pytest.raises(ParseError, match=f"key '{key}'"):
+                parse_config_text(f"{key} = {raw}\n")
 
     def test_strategy_key_parses(self):
         from helios.baselines import StrategyKind
