@@ -3,9 +3,10 @@
 The engine predicts renewable power once over the scenario. Each hour it
 asks the configured strategy for an action (rules net their intents for the
 current hour; optimizers solve the N-step window against its slice of the
-forecast and yield the first action). One plant step books the hour:
-clip_feasible applies every limit of the plant, step_flows resolves the
-applied action into bus flows, step_soc steps the battery and step_cost
+forecast and yield the first action; myopic_mpc's window is the hour alone,
+as its greedy first action reads nothing later). One plant step books the
+hour: clip_feasible applies every limit of the plant, step_flows resolves
+the applied action into bus flows, step_soc steps the battery and step_cost
 bills it. The trajectory is recorded as a DispatchTrace.
 """
 
@@ -67,10 +68,10 @@ def _derive_window_seed(run_seed: int, t: int) -> int:
     return (run_seed + _WINDOW_SEED_STRIDE * (t + 1)) & 0x7FFFFFFFFFFFFFFF
 
 
-def _window_problem(cfg: Config, scenario: Scenario, t: int, soc: float,
-                    lattice, forecast: list[float],
+def _window_problem(cfg: Config, scenario: Scenario, t: int, horizon: int,
+                    soc: float, lattice, forecast: list[float],
                     noise_rng: np.random.Generator | None) -> HorizonProblem:
-    window = scenario.window(t, cfg.horizon)
+    window = scenario.window(t, horizon)
     predicted = forecast[t:t + window.steps]
     if noise_rng is not None and window.steps > 1:
         # The current hour is observed; only future steps carry forecast noise.
@@ -121,6 +122,7 @@ def run_closed_loop(scenario: Scenario, strategy: StrategyKind, cfg: Config,
     forecast = predict_series(cfg.renewable, scenario.irradiance,
                               scenario.wind_speed)
     rule_based = strategy in RULE_BASED
+    horizon = 1 if strategy is StrategyKind.MYOPIC_MPC else cfg.horizon
 
     soc = cfg.initial_soc
     records: list[HourRecord] = []
@@ -135,8 +137,8 @@ def run_closed_loop(scenario: Scenario, strategy: StrategyKind, cfg: Config,
             # Rules are billed for the gross discharge they asked for.
             action, billed = rule_step(strategy, bp, soc, load, renewable)
         else:
-            hp = _window_problem(cfg, scenario, t, soc, lattice, forecast,
-                                 noise_rng)
+            hp = _window_problem(cfg, scenario, t, horizon, soc, lattice,
+                                 forecast, noise_rng)
             action, window_trace = _optimizer_action(
                 strategy, cfg, hp, _derive_window_seed(run_seed, t))
             if window_trace:
@@ -184,7 +186,7 @@ class ComparisonResult:
 
 def compare_strategies(scenario: Scenario, strategies, cfg: Config,
                        seed: int | None = None) -> ComparisonResult:
-    """Run each strategy on the scenario with its own derived RNG stream.
+    """Run each strategy, named at most once, with its own derived RNG stream.
 
     Streams are derived as seed XOR the strategy's position in StrategyKind,
     so results do not depend on the order strategies are requested in.
@@ -192,6 +194,9 @@ def compare_strategies(scenario: Scenario, strategies, cfg: Config,
     strategies = list(strategies)
     if not strategies:
         raise ValidationError("need at least one strategy to compare")
+    for i, kind in enumerate(strategies):
+        if kind in strategies[:i]:
+            raise ValidationError(f"strategy '{kind.value}' is requested twice")
     base_seed = cfg.seed if seed is None else seed
     order = list(StrategyKind)
     traces = []

@@ -62,6 +62,15 @@ def test_compare_lists_all_seven_strategies(tmp_path, fast_config):
     assert len(totals) == 7
 
 
+def test_compare_refuses_a_repeated_strategy(tmp_path, capsys):
+    out = tmp_path / "cmp"
+    code = cli_main(["compare", "--data", "synthetic", "--out-dir", str(out),
+                     "--strategies", "myopic_mpc,renewable_first,MYOPIC_MPC"])
+    assert code == 1
+    assert "'myopic_mpc' is requested twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_recovers_default_coefficients(tmp_path):
     csv = tmp_path / "fit.csv"
     frag = tmp_path / "renewable.cfg"

@@ -11,7 +11,8 @@ from conftest import make_problem
 from helios.baselines import StrategyKind
 from helios.battery import clip_feasible
 from helios.config import Config, load_config, parse_config_text
-from helios.core import BatteryParams, ControlAction, Scenario, ValidationError
+from helios.core import (BatteryParams, ControlAction, CostParams, Scenario,
+                         ValidationError)
 from helios.data import SyntheticProfile, generate_synthetic
 from helios.engine import compare_strategies, run_closed_loop
 from helios.horizon import build_lattice, solve_exact
@@ -154,6 +155,31 @@ class TestBilling:
                 cfg.costs.c_bat * r.p_dis * cfg.battery.dt)
 
 
+class TestMyopicWindow:
+    def test_myopic_plans_only_the_hour_it_applies(self, monkeypatch):
+        import helios.engine
+        steps = []
+        solve = helios.engine.solve_myopic
+        monkeypatch.setattr(helios.engine, "solve_myopic",
+                            lambda hp: steps.append(hp.n_steps) or solve(hp))
+        cfg = replace(Config(), horizon=4, forecast_noise_kw=30.0)
+        run_closed_loop(reference_scenario(), StrategyKind.MYOPIC_MPC, cfg, seed=5)
+        assert steps == [1] * 24
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the backup cost overflows
+    def test_an_hour_without_a_finite_cost_is_refused_at_its_own_window(self):
+        # At 2 per kWh, hour 2's 1.7e308 kW load costs inf whatever the
+        # plan. A 4-step window starting at hour 0 already holds it, but
+        # myopic_mpc's window is one hour, so hours 0 and 1 are booked first.
+        load = (300.0, 300.0, 1.7e308, 300.0, 300.0)
+        scenario = Scenario(start_hour=0, steps=5, irradiance=(0.0,) * 5,
+                            wind_speed=(8.0,) * 5, load=load)
+        cfg = replace(Config(), horizon=4,
+                      costs=CostParams(c_backup=2.0, q_under=10.0, r_over=10.0))
+        with pytest.raises(ValidationError, match="finite cost.*hour 2"):
+            run_closed_loop(scenario, StrategyKind.MYOPIC_MPC, cfg)
+
+
 def test_scenario_shorter_than_horizon_still_runs():
     scenario = reference_scenario().window(0, 3)
     cfg = replace(Config(), horizon=6)
@@ -192,6 +218,14 @@ class TestCompareStrategies:
     def test_rejects_empty_strategy_list(self):
         with pytest.raises(ValidationError):
             compare_strategies(reference_scenario(), [], Config())
+
+    def test_rejects_a_strategy_named_twice(self, monkeypatch):
+        import helios.engine
+        monkeypatch.setattr(helios.engine, "run_closed_loop", None)  # runs nothing
+        kinds = [StrategyKind.MYOPIC_MPC, StrategyKind.RENEWABLE_FIRST,
+                 StrategyKind.MYOPIC_MPC]
+        with pytest.raises(ValidationError, match="'myopic_mpc' is requested twice"):
+            compare_strategies(reference_scenario(), kinds, Config())
 
     def test_exact_solver_lower_bounds_heuristics_small_lattice(self):
         # with full per-window enumeration affordable, the exact strategy's

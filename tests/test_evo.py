@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import action_indices, make_problem
 from helios.core import CostParams, LengthMismatch, ValidationError
@@ -59,6 +61,61 @@ def assert_batched_climb_matches_scalar(hp, genome, cost, budgets):
         assert got_cost == want_cost
         results.append((want, want_cost))
     return results
+
+
+def reference_aco(hp, ap):
+    """Ant System with a full (ants, n_actions) block per step.
+
+    Every ant prices every action from its own SOC, and each step draws
+    its ants' uniforms with one rng.random(ants) call. A row whose weights
+    sum to 0 is sampled uniformly. Returns the best plan's action indices,
+    its cost and the per-iteration best-ever trace.
+    """
+    hp.require_feasible()
+    rng = np.random.default_rng(ap.seed)
+    n, n_actions = hp.n_steps, len(hp.lattice)
+    tau = np.full((n, n_actions), ap.pheromone_init, dtype=float)
+    best_genome, best_cost, trace = None, np.inf, []
+    ant_rows = np.arange(ap.ants)
+    for _ in range(ap.iterations):
+        socs = np.full(ap.ants, hp.soc0, dtype=float)
+        total = np.zeros(ap.ants, dtype=float)
+        paths = np.empty((ap.ants, n), dtype=np.int64)
+        for t in range(n):
+            soc_next, pen = hp.transitions(socs[:, None])
+            stage = hp.base_costs[t] + pen
+            heuristic = 1.0 / (1.0 + stage)
+            weight = tau[t][None, :] ** ap.alpha * heuristic ** ap.beta
+            degenerate = weight.sum(axis=1) == 0.0
+            if degenerate.any():
+                weight[degenerate] = 1.0
+            cum = np.cumsum(weight, axis=1)
+            u = rng.random(ap.ants) * cum[:, -1]
+            choice = np.minimum((cum < u[:, None]).sum(axis=1), n_actions - 1)
+            paths[:, t] = choice
+            total += stage[ant_rows, choice]
+            socs = soc_next[ant_rows, choice]
+        if hp.terminal_soc_value != 0.0:
+            total += hp.terminal_credit(socs)
+        bi = int(np.argmin(total))
+        if total[bi] < best_cost:
+            best_cost = float(total[bi])
+            best_genome = paths[bi].copy()
+        tau *= (1.0 - ap.evaporation)
+        deposits = 1.0 / (1.0 + np.maximum(total, 0.0))
+        stage_idx = np.broadcast_to(np.arange(n), paths.shape)
+        np.add.at(tau, (stage_idx.ravel(), paths.ravel()), np.repeat(deposits, n))
+        np.maximum(tau, 1e-12, out=tau)
+        trace.append(best_cost)
+    return best_genome.tolist(), hp.require_finite(best_cost), trace
+
+
+def assert_aco_matches_reference(hp, ap):
+    seq, cost, trace = aco_solve(hp, ap)
+    ref_idx, ref_cost, ref_trace = reference_aco(hp, ap)
+    assert list(action_indices(hp, seq)) == ref_idx
+    assert cost == ref_cost
+    assert trace == ref_trace
 
 
 class TestParams:
@@ -433,3 +490,33 @@ class TestAcoSolve:
                                   terminal_soc_value=0.2)
                 seq, cost, _ = aco_solve(hp, AcoParams(ants=8, iterations=6, seed=3))
                 assert cost == hp.cost_of(seq)
+
+    # 111, 23, 6 and 3 actions; exponents 0.5, 1 and 2 take numpy's fast
+    # power paths, 3 and 1.7 the general one; soc0 reaches outside the
+    # [100, 900] band, so ants start and stay on distinct penalised SOCs.
+    @settings(max_examples=60, deadline=None)
+    @given(delta_p=st.sampled_from([10.0, 50.0, 250.0, 1000.0]),
+           n=st.integers(1, 8), ants=st.integers(1, 50), iterations=st.integers(1, 15),
+           soc0=st.floats(-300.0, 1500.0), terminal=st.sampled_from([0.0, 0.2]),
+           alpha=st.sampled_from([0.5, 1.0, 2.0, 3.0, 1.7]),
+           beta=st.sampled_from([0.5, 1.0, 2.0, 3.0, 1.7]),
+           seed=st.integers(0, 2**31), data=st.data())
+    def test_grouped_ants_equal_the_per_ant_reference_bit_for_bit(
+            self, delta_p, n, ants, iterations, soc0, terminal, alpha, beta, seed, data):
+        power = st.floats(0.0, 700.0)
+        hp = make_problem(data.draw(st.lists(power, min_size=n, max_size=n), label="load"),
+                          data.draw(st.lists(power, min_size=n, max_size=n), label="ren"),
+                          soc0=soc0, lattice=build_lattice(1000.0, 100.0, delta_p),
+                          terminal_soc_value=terminal)
+        assert_aco_matches_reference(hp, AcoParams(ants=ants, iterations=iterations,
+                                                   alpha=alpha, beta=beta, seed=seed))
+
+    def test_all_zero_weight_rows_are_sampled_uniformly_as_the_reference(self):
+        # 1e300 kW loads keep every cost finite, but the heuristic
+        # 1 / (1 + cost) is about 1e-300, so its square underflows to 0 and
+        # every row of weights is 0 at every step.
+        hp = make_problem([1e300, 2e300, 1e300], [0.0, 50.0, 0.0],
+                          lattice=build_lattice(1000.0, 100.0, 50.0))
+        assert not ((1.0 / (1.0 + hp.base_costs)) ** 2.0).any()
+        for seed in range(3):
+            assert_aco_matches_reference(hp, AcoParams(ants=12, iterations=4, seed=seed))

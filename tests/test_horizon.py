@@ -420,3 +420,21 @@ class TestSolveMyopic:
     def test_zero_load_window_stays_idle(self):
         hp = make_problem([0.0] * 4, [0.0] * 4)
         assert all(a.is_idle for a in solve_myopic(hp))
+
+    # The closed loop plans myopic_mpc's hour alone; that is sound only if
+    # the greedy first action never reads a later hour.
+    @settings(max_examples=60, deadline=None)
+    @given(delta_p=st.sampled_from([10.0, 50.0, 250.0]), n=st.integers(2, 8),
+           soc0=st.floats(-300.0, 1500.0), terminal=st.sampled_from([0.0, 0.2]),
+           data=st.data())
+    def test_first_action_is_that_of_the_first_hour_alone(self, delta_p, n, soc0,
+                                                          terminal, data):
+        power = st.floats(0.0, 700.0)
+        loads = data.draw(st.lists(power, min_size=n, max_size=n), label="load")
+        rens = data.draw(st.lists(power, min_size=n, max_size=n), label="ren")
+        lattice = build_lattice(1000.0, 100.0, delta_p)
+        window = make_problem(loads, rens, soc0=soc0, lattice=lattice,
+                              terminal_soc_value=terminal)
+        hour = make_problem(loads[:1], rens[:1], soc0=soc0, lattice=lattice,
+                            terminal_soc_value=terminal)
+        assert solve_myopic(window)[0] == solve_myopic(hour)[0]
