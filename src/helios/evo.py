@@ -346,8 +346,7 @@ def aco_solve(hp: HorizonProblem, ap: AcoParams
 
         tau *= (1.0 - ap.evaporation)
         deposits = 1.0 / (1.0 + np.maximum(total, 0.0))
-        stage_idx = np.broadcast_to(np.arange(n), paths.shape)
-        np.add.at(tau, (stage_idx.ravel(), paths.ravel()),
+        np.add.at(tau.reshape(-1), (paths + np.arange(n) * n_actions).ravel(),
                   np.repeat(deposits, n))
         np.maximum(tau, 1e-12, out=tau)
 

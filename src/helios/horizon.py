@@ -12,8 +12,13 @@ transitions, terminal_credit and require_feasible; solvers only read these.
 Enumeration walks the prefix tree depth first, in lexicographic order, and
 prices each shared prefix once, summed as costs_of sums; blocks of at most
 _ENUM_CHUNK // n_actions nodes keep memory O(n_steps * _ENUM_CHUNK). DP's
-successor nodes (int32) and SOC penalties are the same at every stage, so
-_dp_tables computes them once; a stage adds only its row of base_costs.
+grid rows have the same SOC penalties and successor nodes at every stage of
+every window, so _dp_tables builds them once per (battery, costs, grid step)
+and keeps them read-only on the run's lattice; a window prices only its soc0
+row, and a stage adds its row of base_costs. Stages run in row blocks of at
+most _DP_BLOCK cells (128 KB), whose temporaries the heap reuses instead of
+faulting in fresh pages, and gather through intp indices, which numpy takes
+about twice as fast as int32 ones (no index cast).
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ DEFAULT_MAX_ENUMERATION = 1_000_000   # sequences
 MAX_DP_TABLE = 50_000_000       # grid nodes * steps * actions
 
 _ENUM_CHUNK = 2048
+_DP_BLOCK = 16384   # elements of a DP stage block: 128 KB of float64
 
 
 @dataclass(frozen=True)
@@ -65,9 +71,14 @@ class ActionLattice:
     def p_dis(self) -> np.ndarray:
         return _read_only([a.p_dis for a in self.actions])
 
+    @cached_property
+    def dp_rows(self) -> dict:
+        """_dp_tables' read-only grid-row tables by (battery, costs, soc_grid_step)."""
+        return {}
 
-def _read_only(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+
+def _read_only(values, dtype=float) -> np.ndarray:
+    arr = np.asarray(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -264,29 +275,29 @@ def _solve_enumeration(hp: HorizonProblem) -> tuple[CandidateSequence, float]:
 
 def _solve_dp(hp: HorizonProblem, soc_grid_step: float
               ) -> tuple[CandidateSequence, float]:
-    values, policy, succ = _dp_tables(hp, soc_grid_step)
+    _, policy, (succ, succ0) = _dp_tables(hp, soc_grid_step)
     # Forward pass: the first step from the exact soc0, then along grid nodes.
-    row = values.shape[1] - 1
-    idx = []
-    for t in range(hp.n_steps):
-        a = int(policy[t][row])
-        idx.append(a)
-        row = int(succ[row, a])
+    idx = [int(policy[0, -1])]
+    row = int(succ0[idx[0]])
+    for t in range(1, hp.n_steps):
+        idx.append(int(policy[t, row]))
+        row = int(succ[row, idx[-1]])
     cost = hp.require_finite(float(hp.costs_of(np.array([idx]))[0]))
     return sequence_from_indices(hp.lattice, idx), cost
 
 
 def _dp_tables(hp: HorizonProblem, soc_grid_step: float
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Backward DP over the SOC grid nodes plus the exact soc0 as a last row.
 
-    Returns (values, policy, succ): each row's optimal cost-to-go per stage,
-    its first minimising (smallest) action index, and succ[row, a], the grid
-    node action a leads to (nearest, round half up, clamped to the grid).
-    Stage 0 is solved for the soc0 row only; its grid rows stay NaN and 0.
+    Returns (values, policy, (succ, succ0)): each row's optimal cost-to-go
+    per stage, its first minimising (smallest) action index, and the grid
+    node each action leads to from each grid node and from soc0 (nearest,
+    round half up, clamped to the grid). Stage 0 is solved for the soc0 row
+    only; its grid rows stay NaN and 0.
     """
-    if soc_grid_step <= 0:
-        raise InvalidStep(f"soc_grid_step must be positive, got {soc_grid_step}")
+    if not (math.isfinite(soc_grid_step) and soc_grid_step > 0):
+        raise InvalidStep(f"soc_grid_step must be finite and positive, got {soc_grid_step}")
     bp = hp.battery
     n = hp.n_steps
     n_actions = len(hp.lattice)
@@ -294,22 +305,35 @@ def _dp_tables(hp: HorizonProblem, soc_grid_step: float
     if len(grid) * n * n_actions > MAX_DP_TABLE:
         raise BudgetExceeded(
             f"DP table {len(grid)}x{n}x{n_actions} exceeds {MAX_DP_TABLE}")
-    socs = np.append(grid, hp.soc0)
-    soc_next, pen = hp.transitions(socs[:, None])
-    k = (soc_next - bp.soc_min) / soc_grid_step + 0.5
-    del soc_next
-    succ = np.clip(np.floor(k, out=k), 0, len(grid) - 1, out=k).astype(np.int32)
-    del k
-    values = np.full((n + 1, len(socs)), np.nan)
-    values[n] = hp.terminal_credit(socs)
-    policy = np.zeros((n, len(socs)), dtype=np.int64)
+    key = (bp, hp.costs, soc_grid_step)
+    if key not in hp.lattice.dp_rows:  # the grid rows' tables, once per run
+        soc_next, pen = hp.transitions(grid[:, None])
+        hp.lattice.dp_rows[key] = (_read_only(pen), _read_only(
+            _snap(soc_next, bp.soc_min, soc_grid_step, len(grid)), np.intp))
+    pen, succ = hp.lattice.dp_rows[key]
+    soc_next0, pen0 = hp.transitions(hp.soc0)
+    succ0 = _snap(soc_next0, bp.soc_min, soc_grid_step, len(grid))
+    values = np.full((n + 1, len(grid) + 1), np.nan)
+    values[n] = hp.terminal_credit(np.append(grid, hp.soc0))
+    policy = np.zeros((n, len(grid) + 1), dtype=np.int64)
+    # Grid rows in blocks of at most _DP_BLOCK cells, then soc0's, stage 0's only row.
+    block = max(1, _DP_BLOCK // n_actions)
+    blocks = [(slice(s, min(s + block, len(grid))), pen[s:s + block], succ[s:s + block])
+              for s in range(0, len(grid), block)]
+    blocks.append((slice(-1, None), pen0[None], succ0[None]))
     for t in range(n - 1, -1, -1):
-        live = slice(None) if t else slice(-1, None)  # stage 0 starts at soc0
-        q = pen[live] + hp.base_costs[t]
-        q += values[t + 1][succ[live]]
-        policy[t, live] = np.argmin(q, axis=1)
-        values[t, live] = q[np.arange(len(q)), policy[t, live]]
-    return values, policy, succ
+        for live, pen_live, succ_live in blocks if t else blocks[-1:]:
+            q = pen_live + hp.base_costs[t]
+            q += values[t + 1][succ_live]
+            policy[t, live] = np.argmin(q, axis=1)
+            values[t, live] = q[np.arange(len(q)), policy[t, live]]
+    return values, policy, (succ, succ0)
+
+
+def _snap(soc, soc_min: float, soc_grid_step: float, n_nodes: int) -> np.ndarray:
+    """Each SOC's nearest grid node (round half up), clamped to the grid, as intp."""
+    k = (soc - soc_min) / soc_grid_step + 0.5
+    return np.clip(np.floor(k, out=k), 0, n_nodes - 1, out=k).astype(np.intp)
 
 
 def solve_myopic(hp: HorizonProblem) -> CandidateSequence:

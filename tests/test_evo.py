@@ -63,13 +63,14 @@ def assert_batched_climb_matches_scalar(hp, genome, cost, budgets):
     return results
 
 
-def reference_aco(hp, ap):
+def reference_aco(hp, ap, below=np.less):
     """Ant System with a full (ants, n_actions) block per step.
 
     Every ant prices every action from its own SOC, and each step draws
-    its ants' uniforms with one rng.random(ants) call. A row whose weights
-    sum to 0 is sampled uniformly. Returns the best plan's action indices,
-    its cost and the per-iteration best-ever trace.
+    its ants' uniforms with one rng.random(ants) call. An ant takes action
+    count(below(cum, u)), where u is its draw times the row total. A row
+    whose weights sum to 0 is sampled uniformly. Returns the best plan's
+    action indices, its cost and the per-iteration best-ever trace.
     """
     hp.require_feasible()
     rng = np.random.default_rng(ap.seed)
@@ -91,7 +92,7 @@ def reference_aco(hp, ap):
                 weight[degenerate] = 1.0
             cum = np.cumsum(weight, axis=1)
             u = rng.random(ap.ants) * cum[:, -1]
-            choice = np.minimum((cum < u[:, None]).sum(axis=1), n_actions - 1)
+            choice = np.minimum(below(cum, u[:, None]).sum(axis=1), n_actions - 1)
             paths[:, t] = choice
             total += stage[ant_rows, choice]
             socs = soc_next[ant_rows, choice]
@@ -520,3 +521,28 @@ class TestAcoSolve:
         assert not ((1.0 / (1.0 + hp.base_costs)) ** 2.0).any()
         for seed in range(3):
             assert_aco_matches_reference(hp, AcoParams(ants=12, iterations=4, seed=seed))
+
+    def test_a_draw_of_zero_takes_a_leading_zero_weight_action(self, monkeypatch):
+        # Random draws land exactly on a cumsum entry with probability about
+        # 2^-53, so only hand-made draws pin the rule's boundary: action 0
+        # costs inf (weight 0) and ant 0 always draws 0.0. count(cum < u)
+        # takes action 0 there; count(cum <= u) would take action 1, the
+        # window's only zero-cost action, while ant 1 draws near 1.
+        hp = make_problem([300.0, 250.0], [100.0, 50.0],
+                          lattice=build_lattice(100.0, 100.0, 50.0))
+        hp.__dict__["base_costs"] = np.array([[np.inf, 0.0, 5.0, 10.0, 20.0]] * 2)
+
+        class FixedDraws:
+            def __init__(self, seed):
+                self.values = iter([0.0, 0.9999] * 4)  # (ant 0, ant 1) per step
+
+            def random(self, size):
+                return np.array([next(self.values) for _ in range(np.prod(size))]
+                                ).reshape(size)
+
+        monkeypatch.setattr(np.random, "default_rng", FixedDraws)
+        ap = AcoParams(ants=2, iterations=2)
+        assert_aco_matches_reference(hp, ap)
+        _, cost, _ = reference_aco(hp, ap)
+        _, cost_at_most, _ = reference_aco(hp, ap, below=np.less_equal)
+        assert cost > 0.0 and cost_at_most == 0.0

@@ -287,6 +287,87 @@ class TestSolveExact:
         hp = make_problem([100.0] * 3, [0.0] * 3)
         with pytest.raises(BudgetExceeded):
             solve_exact(hp, soc_grid_step=1e-4, max_enumeration=0)
+        assert hp.lattice.dp_rows == {}  # refused before any table was built
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "zero", "negative"])
+    def test_grid_step_must_be_finite_and_positive(self, step):
+        hp = make_problem([100.0] * 3, [0.0] * 3)
+        with pytest.raises(InvalidStep, match="soc_grid_step"):
+            solve_exact(hp, soc_grid_step=step, max_enumeration=0)
+        assert hp.lattice.dp_rows == {}
+
+    def test_grid_tables_are_read_only_and_kept_per_lattice_and_key(self):
+        lattice = build_lattice(1000.0, 100.0, 50.0)
+        hp = make_problem([320.0, 180.0], [90.0, 400.0], soc0=433.3, lattice=lattice)
+        _, _, (succ, _) = _dp_tables(hp, 10.0)
+        pen, cached = lattice.dp_rows[(hp.battery, hp.costs, 10.0)]
+        assert cached is succ and succ.dtype == np.intp
+        for table in (pen, succ):
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+        # Another window with the same key reuses them.
+        other = make_problem([50.0] * 3, [0.0] * 3, soc0=871.0, lattice=lattice)
+        assert _dp_tables(other, 10.0)[2][0] is succ
+        # Any other key, or another lattice, gets its own tables.
+        keys = [(replace(hp, costs=CostParams(r_over=3.0)), 10.0), (hp, 5.0),
+                (replace(hp, battery=replace(hp.battery, eta_ch=0.7)), 10.0)]
+        for variant, step in keys:
+            assert _dp_tables(variant, step)[2][0] is not succ
+        assert len(lattice.dp_rows) == 4
+        fresh = replace(hp, lattice=build_lattice(1000.0, 100.0, 50.0))
+        assert _dp_tables(fresh, 10.0)[2][0] is not succ
+
+    def test_interleaved_configs_equal_cold_builds_and_the_reference(self):
+        # Windows of twelve configs (two lattices, two grid steps, other
+        # penalties, another charge efficiency) interleave on two shared
+        # lattices; each equals a build on a fresh lattice and the per-stage
+        # reference bit for bit.
+        rng = np.random.default_rng(41)
+        lattices = [build_lattice(1000.0, 100.0, 50.0), build_lattice(1000.0, 100.0, 10.0)]
+        battery = make_problem([0.0], [0.0]).battery
+        variants = [(battery, CostParams()), (battery, CostParams(q_under=25.0, r_over=4.0)),
+                    (replace(battery, eta_ch=0.8), CostParams())]
+        configs = [(lat, step, bp, cp) for lat in lattices for step in (10.0, 0.5)
+                   for bp, cp in variants]
+        for _ in range(3):
+            for i in rng.permutation(len(configs)):
+                lattice, step, bp, cp = configs[i]
+                n = int(rng.integers(1, 7))
+                hp = make_problem(rng.uniform(0.0, 600.0, n).tolist(),
+                                  rng.uniform(0.0, 700.0, n).tolist(),
+                                  soc0=float(rng.uniform(50.0, 950.0)), battery=bp,
+                                  costs=cp, lattice=lattice,
+                                  terminal_soc_value=float(rng.choice([0.0, 0.2])))
+                cold = replace(hp, lattice=build_lattice(1000.0, 100.0, lattice.delta_p))
+                values, policy, _ = _dp_tables(hp, step)
+                cold_values, cold_policy, _ = _dp_tables(cold, step)
+                assert np.array_equal(values, cold_values, equal_nan=True)
+                assert np.array_equal(policy, cold_policy)
+                ref_values, ref_policy, ref_q0, ref_idx, ref_cost = reference_dp(hp, step)
+                assert values[1:, :-1].tolist() == ref_values[1:].tolist()
+                assert policy[1:, :-1].tolist() == ref_policy[1:].tolist()
+                assert (values[0, -1], policy[0, -1]) == (ref_q0, ref_idx[0])
+                seq, cost = _solve_dp(hp, step)
+                assert (seq, cost) == _solve_dp(cold, step)
+                assert (list(action_indices(hp, seq)), cost) == (ref_idx, ref_cost)
+        assert [len(lat.dp_rows) for lat in lattices] == [6, 6]
+
+    def test_warm_dp_window_memory_is_bounded_by_the_block_not_the_grid(self):
+        # 111 actions on 1601 grid nodes: a nodes x actions table is 1.4 MB.
+        lattice = build_lattice(1000.0, 100.0, 10.0)
+        loads, rens = [150.0, 400.0, 250.0, 150.0, 90.0, 300.0], [300.0, 0.0, 500.0] * 2
+        _dp_tables(make_problem(loads, rens, soc0=500.0, lattice=lattice), 0.5)
+        hp = make_problem(loads[::-1], rens, soc0=612.7, lattice=lattice,
+                          terminal_soc_value=0.2)
+        _ = hp.base_costs, hp.soc_steps  # price the window before tracing the DP
+        tracemalloc.start()
+        try:
+            _dp_tables(hp, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestHorizonProblem:
