@@ -55,7 +55,10 @@ def load_hourly_csv(path: str) -> Scenario:
             raise ParseError(f"missing column '{col}' in '{path}'")
     if not rows:
         raise ParseError(f"'{path}' contains a header but no data rows")
-    start_hour = int(_parse_float(rows[0], "hour", 0))
+    first_hour = _parse_float(rows[0], "hour", 0)
+    if not math.isfinite(first_hour):
+        raise ParseError(f"row 0: column 'hour' has non-finite value '{rows[0]['hour']}'")
+    start_hour = int(first_hour)
     irr, wind, load = [], [], []
     for i, row in enumerate(rows):
         if _parse_float(row, "hour", i) != start_hour + i:

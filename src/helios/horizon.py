@@ -11,14 +11,13 @@ base_costs (SOC-free stage costs) and soc_steps, costs_of (gathers from them),
 transitions, terminal_credit and require_feasible; solvers only read these.
 Enumeration walks the prefix tree depth first, in lexicographic order, and
 prices each shared prefix once, summed as costs_of sums; blocks of at most
-_ENUM_CHUNK // n_actions nodes keep memory O(n_steps * _ENUM_CHUNK). DP's
-grid rows have the same SOC penalties and successor nodes at every stage of
-every window, so _dp_tables builds them once per (battery, costs, grid step)
-and keeps them read-only on the run's lattice; a window prices only its soc0
-row, and a stage adds its row of base_costs. Stages run in row blocks of at
-most _DP_BLOCK cells (128 KB), whose temporaries the heap reuses instead of
-faulting in fresh pages, and gather through intp indices, which numpy takes
-about twice as fast as int32 ones (no index cast).
+_ENUM_CHUNK // n_actions nodes keep memory O(n_steps * _ENUM_CHUNK). DP
+sweeps the SOC grid backward in two value rows, then solves stage 0 from the
+exact soc0 alone. Grid rows have the same SOC penalties and successor nodes
+at every stage of every window, so _dp_tables cuts them once per (battery,
+costs, grid step) into read-only blocks of at most _DP_BLOCK cells (128 KB)
+on the run's lattice; the heap reuses a block's stage temporaries, and intp
+indices gather about twice as fast as int32 ones (no index cast).
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ class ActionLattice:
 
     @cached_property
     def dp_rows(self) -> dict:
-        """_dp_tables' read-only grid-row tables by (battery, costs, soc_grid_step)."""
+        """_dp_tables' read-only (succ, row blocks) by (battery, costs, soc_grid_step)."""
         return {}
 
 
@@ -275,59 +274,55 @@ def _solve_enumeration(hp: HorizonProblem) -> tuple[CandidateSequence, float]:
 
 def _solve_dp(hp: HorizonProblem, soc_grid_step: float
               ) -> tuple[CandidateSequence, float]:
-    _, policy, (succ, succ0) = _dp_tables(hp, soc_grid_step)
+    policy, succ, q0, succ0 = _dp_tables(hp, soc_grid_step)
     # Forward pass: the first step from the exact soc0, then along grid nodes.
-    idx = [int(policy[0, -1])]
+    idx = [int(np.argmin(q0))]
     row = int(succ0[idx[0]])
-    for t in range(1, hp.n_steps):
-        idx.append(int(policy[t, row]))
+    for stage in policy:
+        idx.append(int(stage[row]))
         row = int(succ[row, idx[-1]])
     cost = hp.require_finite(float(hp.costs_of(np.array([idx]))[0]))
     return sequence_from_indices(hp.lattice, idx), cost
 
 
 def _dp_tables(hp: HorizonProblem, soc_grid_step: float
-               ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Backward DP over the SOC grid nodes plus the exact soc0 as a last row.
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Backward DP over the SOC grid nodes, then stage 0 from the exact soc0 alone.
 
-    Returns (values, policy, (succ, succ0)): each row's optimal cost-to-go
-    per stage, its first minimising (smallest) action index, and the grid
-    node each action leads to from each grid node and from soc0 (nearest,
-    round half up, clamped to the grid). Stage 0 is solved for the soc0 row
-    only; its grid rows stay NaN and 0.
+    Returns (policy, succ, q0, succ0): each grid node's first minimising
+    (smallest) action index at stages 1..n_steps-1, the node each action
+    leads to from each node, then each action's stage-0 cost-to-go from soc0
+    and the node it leads to (nearest, round half up, clamped to the grid).
     """
     if not (math.isfinite(soc_grid_step) and soc_grid_step > 0):
         raise InvalidStep(f"soc_grid_step must be finite and positive, got {soc_grid_step}")
-    bp = hp.battery
-    n = hp.n_steps
-    n_actions = len(hp.lattice)
+    bp, n, n_actions = hp.battery, hp.n_steps, len(hp.lattice)
     grid = np.arange(bp.soc_min, bp.soc_max + soc_grid_step / 2, soc_grid_step)
     if len(grid) * n * n_actions > MAX_DP_TABLE:
-        raise BudgetExceeded(
-            f"DP table {len(grid)}x{n}x{n_actions} exceeds {MAX_DP_TABLE}")
+        raise BudgetExceeded(f"DP table {len(grid)}x{n}x{n_actions} exceeds {MAX_DP_TABLE}")
     key = (bp, hp.costs, soc_grid_step)
-    if key not in hp.lattice.dp_rows:  # the grid rows' tables, once per run
+    if key not in hp.lattice.dp_rows:  # the grid rows' blocks, once per run
         soc_next, pen = hp.transitions(grid[:, None])
-        hp.lattice.dp_rows[key] = (_read_only(pen), _read_only(
-            _snap(soc_next, bp.soc_min, soc_grid_step, len(grid)), np.intp))
-    pen, succ = hp.lattice.dp_rows[key]
-    soc_next0, pen0 = hp.transitions(hp.soc0)
+        succ = _read_only(_snap(soc_next, bp.soc_min, soc_grid_step, len(grid)), np.intp)
+        pen, block = _read_only(pen), max(1, _DP_BLOCK // n_actions)
+        hp.lattice.dp_rows[key] = succ, tuple(
+            (slice(s, s + block), pen[s:s + block], succ[s:s + block])
+            for s in range(0, len(grid), block))
+    succ, blocks = hp.lattice.dp_rows[key]
+    value, out = hp.terminal_credit(grid), np.empty(len(grid))  # stages t + 1 and t
+    policy = np.empty((n - 1, len(grid)), dtype=np.intp)
+    for t in range(n - 1, 0, -1):
+        for rows, pen, succ_rows in blocks:
+            q = pen + hp.base_costs[t]
+            q += value[succ_rows]
+            policy[t - 1, rows] = np.argmin(q, axis=1)
+            out[rows] = q[np.arange(len(q)), policy[t - 1, rows]]
+        value, out = out, value
+    soc_next0, q0 = hp.transitions(hp.soc0)
+    q0 += hp.base_costs[0]
     succ0 = _snap(soc_next0, bp.soc_min, soc_grid_step, len(grid))
-    values = np.full((n + 1, len(grid) + 1), np.nan)
-    values[n] = hp.terminal_credit(np.append(grid, hp.soc0))
-    policy = np.zeros((n, len(grid) + 1), dtype=np.int64)
-    # Grid rows in blocks of at most _DP_BLOCK cells, then soc0's, stage 0's only row.
-    block = max(1, _DP_BLOCK // n_actions)
-    blocks = [(slice(s, min(s + block, len(grid))), pen[s:s + block], succ[s:s + block])
-              for s in range(0, len(grid), block)]
-    blocks.append((slice(-1, None), pen0[None], succ0[None]))
-    for t in range(n - 1, -1, -1):
-        for live, pen_live, succ_live in blocks if t else blocks[-1:]:
-            q = pen_live + hp.base_costs[t]
-            q += values[t + 1][succ_live]
-            policy[t, live] = np.argmin(q, axis=1)
-            values[t, live] = q[np.arange(len(q)), policy[t, live]]
-    return values, policy, (succ, succ0)
+    q0 += value[succ0]
+    return policy, succ, q0, succ0
 
 
 def _snap(soc, soc_min: float, soc_grid_step: float, n_nodes: int) -> np.ndarray:

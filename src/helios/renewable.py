@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RankDeficient, TooFewSamples, ValidationError, check_finite_fields
+from .core import (RankDeficient, TooFewSamples, ValidationError, check_finite_fields,
+                   check_series)
 
 # Reference coefficients and default clamp ceiling.
 DEFAULT_COEFFS = (15.0, 51.7979, -0.047, -166.3272)
@@ -57,7 +58,7 @@ def predict(m: RenewableModel, irr: float, v: float) -> float:
 
 
 def fit(samples, p_rated: float = DEFAULT_P_RATED) -> RenewableModel:
-    """Ordinary least squares fit of (irr, v, p_observed) samples.
+    """Ordinary least squares fit of finite (irr >= 0, v >= 0, p_observed) samples.
 
     The design matrix is [irr, v, v^3, 1]; no regularization. Needs at
     least 4 samples and a full-rank design (constant wind makes the v and
@@ -66,10 +67,16 @@ def fit(samples, p_rated: float = DEFAULT_P_RATED) -> RenewableModel:
     samples = list(samples)
     if len(samples) < 4:
         raise TooFewSamples(f"need at least 4 samples, got {len(samples)}")
-    irr = np.array([s[0] for s in samples], dtype=float)
-    v = np.array([s[1] for s in samples], dtype=float)
-    p = np.array([s[2] for s in samples], dtype=float)
-    design = np.column_stack([irr, v, v ** 3, np.ones_like(irr)])
+    irr, v, p = (np.array([s[k] for s in samples], dtype=float) for k in range(3))
+    for name, column in (("irradiance", irr), ("wind_speed", v)):
+        check_series(name, column, len(samples))
+    bad = np.flatnonzero(~np.isfinite(p))
+    if bad.size:
+        raise ValidationError(f"p_observed[{bad[0]}] = {p[bad[0]]} is not finite")
+    with np.errstate(over="ignore"):  # an overflowing cube is refused just below
+        cube = v ** 3
+    check_series("cube of wind_speed", cube, len(samples))
+    design = np.column_stack([irr, v, cube, np.ones_like(irr)])
     if np.linalg.matrix_rank(design) < 4:
         raise RankDeficient("design matrix [irr, v, v^3, 1] is rank deficient")
     coeffs, *_ = np.linalg.lstsq(design, p, rcond=None)

@@ -147,6 +147,32 @@ def test_fit_on_degenerate_data_exits_1(tmp_path):
     assert cli_main(["fit", str(csv)]) == 1
 
 
+@pytest.mark.parametrize("column", ["irradiance_kwh_m2", "wind_ms", "renewable_kw"])
+def test_fit_on_a_nan_cell_exits_1_naming_the_sample(tmp_path, capsys, column):
+    csv = tmp_path / "fit.csv"
+    cli_main(["generate-data", "--days", "2", "--wind-jitter", "2", "--out", str(csv),
+              "--with-renewable"])
+    lines = csv.read_text().splitlines()
+    row = lines[4].split(",")  # sample 3
+    row[lines[0].split(",").index(column)] = "nan"
+    lines[4] = ",".join(row)
+    csv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli_main(["fit", str(csv)]) == 1
+    assert "[3] = nan is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_first_csv_hour_exits_1_naming_the_column(tmp_path, capsys, raw):
+    csv = tmp_path / "s.csv"
+    csv.write_text("hour,irradiance_kwh_m2,wind_ms,load_kw\n"
+                   + "".join(f"{h},0.5,8.0,200.0\n" for h in (raw, 1, 2, 3)))
+    assert cli_main(["simulate", "--strategy", "renewable_first", "--data", str(csv),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: row 0: column 'hour' has non-finite value '{raw}'" in err
+
+
 def test_budget_exhaustion_exits_2(tmp_path):
     code = cli_main(["simulate", "--strategy", "standard_mpc",
                      "--data", "synthetic", "--out-dir", str(tmp_path / "o"),

@@ -75,6 +75,19 @@ def reference_dp(hp, soc_grid_step):
     return values, policy, q0.min(), idx, hp.cost_of([hp.lattice.actions[i] for i in idx])
 
 
+def cached_dp_rows(hp, soc_grid_step):
+    """The lattice's (succ, blocks) for hp's key: read-only blocks tiling succ's rows."""
+    succ, blocks = hp.lattice.dp_rows[(hp.battery, hp.costs, soc_grid_step)]
+    block = len(blocks[0][2])
+    assert [rows.start for rows, _, _ in blocks] == list(range(0, len(succ), block))
+    assert np.concatenate([b[2] for b in blocks]).tolist() == succ.tolist()
+    assert all(pen.size <= helios.horizon._DP_BLOCK for _, pen, _ in blocks)
+    for table in (succ, *(t for _, pen, succ_rows in blocks for t in (pen, succ_rows))):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+    return succ, blocks
+
+
 def reference_enumeration(hp, chunk=2048):
     """Mixed-radix chunked scan: every sequence priced from scratch by costs_of.
 
@@ -270,18 +283,16 @@ class TestSolveExact:
                               rng.uniform(0.0, 700.0, n).tolist(),
                               soc0=float(rng.uniform(50.0, 950.0)), lattice=lattice,
                               terminal_soc_value=float(rng.choice([0.0, 0.2])))
-            values, policy, succ = _dp_tables(hp, grid_step)
-            ref_values, ref_policy, ref_q0, ref_idx, ref_cost = reference_dp(
-                hp, grid_step)
-            # Grid rows from stage 1 on, then the soc0 row at stage 0, which
-            # is the only row stage 0 solves.
-            assert values[1:, :-1].tolist() == ref_values[1:].tolist()
-            assert policy[1:, :-1].tolist() == ref_policy[1:].tolist()
-            assert values[0, -1] == ref_q0
-            assert policy[0, -1] == ref_idx[0]
+            policy, succ, q0, _ = _dp_tables(hp, grid_step)
+            _, ref_policy, ref_q0, ref_idx, ref_cost = reference_dp(hp, grid_step)
+            # Grid stages 1..n-1, then stage 0, which is solved from soc0 alone.
+            assert policy.tolist() == ref_policy[1:].tolist()
+            assert (q0.min(), np.argmin(q0)) == (ref_q0, ref_idx[0])
             seq, cost = _solve_dp(hp, grid_step)
             assert list(action_indices(hp, seq)) == ref_idx
             assert cost == ref_cost
+            assert cached_dp_rows(hp, grid_step)[0] is succ
+        assert len(lattice.dp_rows) == 1  # one key: every window shares its tables
 
     def test_budget_exceeded_when_dp_table_too_large(self):
         hp = make_problem([100.0] * 3, [0.0] * 3)
@@ -300,23 +311,25 @@ class TestSolveExact:
     def test_grid_tables_are_read_only_and_kept_per_lattice_and_key(self):
         lattice = build_lattice(1000.0, 100.0, 50.0)
         hp = make_problem([320.0, 180.0], [90.0, 400.0], soc0=433.3, lattice=lattice)
-        _, _, (succ, _) = _dp_tables(hp, 10.0)
-        pen, cached = lattice.dp_rows[(hp.battery, hp.costs, 10.0)]
+        _, succ, _, _ = _dp_tables(hp, 10.0)
+        cached, blocks = cached_dp_rows(hp, 10.0)
         assert cached is succ and succ.dtype == np.intp
-        for table in (pen, succ):
-            with pytest.raises(ValueError):
-                table[0, 0] = 1
+        assert len(lattice.dp_rows) == 1
         # Another window with the same key reuses them.
         other = make_problem([50.0] * 3, [0.0] * 3, soc0=871.0, lattice=lattice)
-        assert _dp_tables(other, 10.0)[2][0] is succ
+        assert _dp_tables(other, 10.0)[1] is succ
+        assert cached_dp_rows(other, 10.0)[1] is blocks
+        assert len(lattice.dp_rows) == 1
         # Any other key, or another lattice, gets its own tables.
         keys = [(replace(hp, costs=CostParams(r_over=3.0)), 10.0), (hp, 5.0),
                 (replace(hp, battery=replace(hp.battery, eta_ch=0.7)), 10.0)]
         for variant, step in keys:
-            assert _dp_tables(variant, step)[2][0] is not succ
+            assert _dp_tables(variant, step)[1] is not succ
+            assert cached_dp_rows(variant, step)[1] is not blocks
         assert len(lattice.dp_rows) == 4
         fresh = replace(hp, lattice=build_lattice(1000.0, 100.0, 50.0))
-        assert _dp_tables(fresh, 10.0)[2][0] is not succ
+        assert _dp_tables(fresh, 10.0)[1] is not succ
+        assert len(fresh.lattice.dp_rows) == 1
 
     def test_interleaved_configs_equal_cold_builds_and_the_reference(self):
         # Windows of twelve configs (two lattices, two grid steps, other
@@ -340,17 +353,18 @@ class TestSolveExact:
                                   costs=cp, lattice=lattice,
                                   terminal_soc_value=float(rng.choice([0.0, 0.2])))
                 cold = replace(hp, lattice=build_lattice(1000.0, 100.0, lattice.delta_p))
-                values, policy, _ = _dp_tables(hp, step)
-                cold_values, cold_policy, _ = _dp_tables(cold, step)
-                assert np.array_equal(values, cold_values, equal_nan=True)
+                policy, _, q0, _ = _dp_tables(hp, step)
+                cold_policy, _, cold_q0, _ = _dp_tables(cold, step)
                 assert np.array_equal(policy, cold_policy)
-                ref_values, ref_policy, ref_q0, ref_idx, ref_cost = reference_dp(hp, step)
-                assert values[1:, :-1].tolist() == ref_values[1:].tolist()
-                assert policy[1:, :-1].tolist() == ref_policy[1:].tolist()
-                assert (values[0, -1], policy[0, -1]) == (ref_q0, ref_idx[0])
+                assert np.array_equal(q0, cold_q0)
+                _, ref_policy, ref_q0, ref_idx, ref_cost = reference_dp(hp, step)
+                assert policy.tolist() == ref_policy[1:].tolist()
+                assert (q0.min(), np.argmin(q0)) == (ref_q0, ref_idx[0])
                 seq, cost = _solve_dp(hp, step)
                 assert (seq, cost) == _solve_dp(cold, step)
                 assert (list(action_indices(hp, seq)), cost) == (ref_idx, ref_cost)
+                cached_dp_rows(hp, step)
+                assert len(cold.lattice.dp_rows) == 1
         assert [len(lat.dp_rows) for lat in lattices] == [6, 6]
 
     def test_warm_dp_window_memory_is_bounded_by_the_block_not_the_grid(self):

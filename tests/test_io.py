@@ -52,6 +52,18 @@ class TestHourlyCsv:
         with pytest.raises(ParseError, match="row 1"):
             load_hourly_csv(str(path))
 
+    @pytest.mark.parametrize("row", [0, 2])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_hour_is_a_parse_error_naming_row_and_column(self, tmp_path,
+                                                                    raw, row):
+        hours = ["0", "1", "2", "3"]
+        hours[row] = raw
+        path = tmp_path / "bad.csv"
+        path.write_text("hour,irradiance_kwh_m2,wind_ms,load_kw\n"
+                        + "".join(f"{h},0.5,8.0,200.0\n" for h in hours))
+        with pytest.raises(ParseError, match=f"row {row}: .*hour.*{raw}"):
+            load_hourly_csv(str(path))
+
     def test_fit_samples_require_renewable_column(self, tmp_path):
         scenario = generate_synthetic(days=1, seed=0)
         bare = tmp_path / "bare.csv"

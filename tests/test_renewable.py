@@ -1,9 +1,12 @@
 """Renewable model: reference-coefficient point checks, OLS fit, surface."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from helios.core import RankDeficient, TooFewSamples
+from helios.core import NegativeValue, RankDeficient, TooFewSamples, ValidationError
 from helios.renewable import (RenewableModel, fit, reference_model, predict,
                               surface)
 
@@ -67,6 +70,25 @@ class TestFit:
         assert np.linalg.matrix_rank(design.T @ design) < 4
         with pytest.raises(RankDeficient):
             fit(samples)
+
+    @pytest.mark.parametrize("column, value, error, name", [
+        (0, math.nan, ValidationError, "irradiance[3] = nan is not finite"),
+        (0, -0.1, NegativeValue, "irradiance[3] = -0.1 is negative"),
+        (1, math.inf, ValidationError, "wind_speed[3] = inf is not finite"),
+        (1, -2.0, NegativeValue, "wind_speed[3] = -2.0 is negative"),
+        (1, 1e103, ValidationError, "cube of wind_speed[3] = inf is not finite"),
+        (2, math.inf, ValidationError, "p_observed[3] = inf is not finite"),
+        (2, math.nan, ValidationError, "p_observed[3] = nan is not finite"),
+    ], ids=["nan_irradiance", "negative_irradiance", "inf_wind", "negative_wind",
+            "overflowing_wind_cube", "inf_power", "nan_power"])
+    def test_bad_sample_is_refused_naming_its_index(self, column, value, error, name):
+        samples = [list(s) for s in _samples(REF, np.random.default_rng(3), n=10)]
+        samples[3][column] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused without a numpy warning
+            with pytest.raises(error) as excinfo:
+                fit(samples)
+        assert str(excinfo.value) == name
 
     def test_residuals_orthogonal_to_design_columns(self):
         truth = reference_model()
