@@ -84,15 +84,22 @@ class Scenario:
             check_series(name, getattr(self, name), self.steps)
 
     def window(self, start: int, length: int) -> "Scenario":
-        """Slice of `length` steps beginning at local index `start` (no wraparound)."""
+        """Slice of `length` steps beginning at local index `start` (no wraparound).
+
+        The series were validated at construction, so the slice is not
+        validated again; only start and length are checked.
+        """
+        if not (0 <= start < self.steps and length >= 1):
+            raise ValidationError(
+                f"window(start={start}, length={length}) needs 0 <= start < "
+                f"steps={self.steps} and length >= 1")
         stop = min(start + length, self.steps)
-        return Scenario(
-            start_hour=self.start_hour + start,
-            steps=stop - start,
-            irradiance=self.irradiance[start:stop],
-            wind_speed=self.wind_speed[start:stop],
-            load=self.load[start:stop],
-        )
+        part = object.__new__(Scenario)
+        part.__dict__.update(start_hour=self.start_hour + start, steps=stop - start,
+                             irradiance=self.irradiance[start:stop],
+                             wind_speed=self.wind_speed[start:stop],
+                             load=self.load[start:stop])
+        return part
 
 
 def check_series(name: str, series, steps: int) -> None:

@@ -15,12 +15,14 @@ The scalar step_cost books applied hours, beside step_flows, which resolves
 an action clip_feasible returned into bus flows; both take the backup power
 from backup_power, whose formula stage_base vectorizes. sequence_cost sums
 step_cost, as the tests' reference. The vector step cost is stage_base
-(battery + backup, per step and action; HorizonProblem tabulates it once per
-window) plus soc_penalty (per next SOC). sequence_costs_batch prices rows of
-lattice indices by gathering from the window's tables, bit for bit
-sequence_cost: actions are exclusive, so soc + soc_after(bp, 0.0, ...) ==
-soc_after(bp, soc, ...), the SOC path is a sequential np.cumsum and so is
-the total.
+(battery + backup, per step and action) plus soc_penalty (per next SOC).
+stage_base is stage_base_of over action_terms, the cycling cost and net
+battery power of each action alone: HorizonProblem keeps action_terms once
+per run and tabulates stage_base_of once per window. sequence_costs_batch
+prices rows of lattice indices by gathering from the window's tables, bit
+for bit sequence_cost: actions are exclusive, so
+soc + soc_after(bp, 0.0, ...) == soc_after(bp, soc, ...), the SOC path is a
+sequential np.cumsum and so is the total.
 """
 
 from __future__ import annotations
@@ -145,9 +147,21 @@ def sequence_costs_batch(cp: CostParams, bp: BatteryParams, base_costs: np.ndarr
 
 
 def stage_base(cp: CostParams, bp: BatteryParams, load, renewable, p_ch, p_dis):
-    """Battery + backup part of the step cost, over broadcasting arrays."""
-    return (cp.c_bat * p_dis * bp.dt
-            + cp.c_backup * np.maximum(0.0, load - (renewable + p_dis - p_ch)) * bp.dt)
+    """Battery + backup part of the step cost, over broadcasting arrays of
+    exclusive actions: stage_base_of(action_terms(...))."""
+    return stage_base_of(cp, bp, load, renewable, *action_terms(cp, bp, p_ch, p_dis))
+
+
+def action_terms(cp: CostParams, bp: BatteryParams, p_ch, p_dis):
+    """stage_base's terms of the action alone: cycling cost c_bat * p_dis * dt
+    and net battery power p_dis - p_ch. Actions are exclusive, so
+    renewable + (p_dis - p_ch) == (renewable + p_dis) - p_ch bit for bit."""
+    return cp.c_bat * p_dis * bp.dt, p_dis - p_ch
+
+
+def stage_base_of(cp: CostParams, bp: BatteryParams, load, renewable, cycling, net):
+    """stage_base from action_terms: cycling + c_backup * backup power * dt."""
+    return cycling + cp.c_backup * np.maximum(0.0, load - (renewable + net)) * bp.dt
 
 
 def soc_penalty(cp: CostParams, bp: BatteryParams, soc_next):

@@ -1,8 +1,8 @@
 """Hourly CSV ingestion and synthetic scenario generation.
 
 The canonical file is an hourly CSV with header
-`hour,irradiance_kwh_m2,wind_ms,load_kw`, one row per hour: row i's hour
-must be row 0's hour + i. Files may carry an extra
+`hour,irradiance_kwh_m2,wind_ms,load_kw`, one row per hour: hours are
+integers, and row i's hour must be row 0's hour + i. Files may carry an extra
 `renewable_kw` column with observed generation; the regression fit requires
 it, the simulator ignores it. Floats are written with repr() so a write ->
 read round trip is bit exact.
@@ -47,6 +47,19 @@ def _parse_float(row: dict, column: str, row_index: int) -> float:
         ) from None
 
 
+def _parse_hour(row: dict, row_index: int) -> int:
+    """The hour cell, an integer literal, parsed exactly by int()."""
+    raw = row.get("hour")
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        value = _parse_float(row, "hour", row_index)  # refuses a missing or textual cell
+    if not math.isfinite(value):
+        raise ParseError(f"row {row_index}: column 'hour' has non-finite value '{raw}'")
+    raise ParseError(f"row {row_index}: column 'hour' has value '{raw}', "
+                     "which is not an integer literal")
+
+
 def load_hourly_csv(path: str) -> Scenario:
     """Parse an hourly resource CSV into a validated Scenario."""
     header, rows = _read_rows(path)
@@ -55,13 +68,10 @@ def load_hourly_csv(path: str) -> Scenario:
             raise ParseError(f"missing column '{col}' in '{path}'")
     if not rows:
         raise ParseError(f"'{path}' contains a header but no data rows")
-    first_hour = _parse_float(rows[0], "hour", 0)
-    if not math.isfinite(first_hour):
-        raise ParseError(f"row 0: column 'hour' has non-finite value '{rows[0]['hour']}'")
-    start_hour = int(first_hour)
+    start_hour = _parse_hour(rows[0], 0)
     irr, wind, load = [], [], []
     for i, row in enumerate(rows):
-        if _parse_float(row, "hour", i) != start_hour + i:
+        if _parse_hour(row, i) != start_hour + i:
             raise ParseError(f"row {i}: hour {row['hour']} breaks the contiguous "
                              f"hours from {start_hour} (expected {start_hour + i})")
         irr.append(_parse_float(row, "irradiance_kwh_m2", i))

@@ -9,6 +9,10 @@ strategy and as the oracle that the metaheuristics are tested against.
 HorizonProblem owns a window's objective: the forecast, the tables
 base_costs (SOC-free stage costs) and soc_steps, costs_of (gathers from them),
 transitions, terminal_credit and require_feasible; solvers only read these.
+What does not change between windows is built once per run: soc_steps and
+the action terms of base_costs (cycling cost, net battery power) are
+read-only tables on the run's lattice, by (battery, costs); a window prices
+only base_costs from its own load and forecast.
 Enumeration walks the prefix tree depth first, in lexicographic order, and
 prices each shared prefix once, summed as costs_of sums; blocks of at most
 _ENUM_CHUNK // n_actions nodes keep memory O(n_steps * _ENUM_CHUNK). DP
@@ -31,7 +35,8 @@ import numpy as np
 from .battery import soc_after
 from .core import (BatteryParams, BudgetExceeded, ControlAction, CostParams,
                    InvalidStep, Scenario, ValidationError, check_series)
-from .costing import sequence_cost, sequence_costs_batch, soc_penalty, stage_base
+from .costing import (action_terms, sequence_cost, sequence_costs_batch, soc_penalty,
+                      stage_base_of)
 from .renewable import RenewableModel, predict_series
 
 DEFAULT_DELTA_P = 50.0          # kW
@@ -73,6 +78,12 @@ class ActionLattice:
     @cached_property
     def dp_rows(self) -> dict:
         """_dp_tables' read-only (succ, row blocks) by (battery, costs, soc_grid_step)."""
+        return {}
+
+    @cached_property
+    def action_rows(self) -> dict:
+        """HorizonProblem.action_tables' read-only (soc_steps, cycling, net) by
+        (battery, costs)."""
         return {}
 
 
@@ -172,16 +183,30 @@ class HorizonProblem:
         return list(self.forecast)
 
     @cached_property
-    def base_costs(self) -> np.ndarray:
-        """costing.stage_base of every (step, action): (n_steps, n_actions)."""
-        return stage_base(self.costs, self.battery, np.array(self.window.load)[:, None],
-                          np.array(self.forecast)[:, None], self.lattice.p_ch,
-                          self.lattice.p_dis)
+    def action_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each action's SOC change and costing.action_terms (cycling, net),
+        read-only on the lattice and built once per (battery, costs)."""
+        key = (self.battery, self.costs)
+        tables = self.lattice.action_rows.get(key)
+        if tables is None:
+            p_ch, p_dis = self.lattice.p_ch, self.lattice.p_dis
+            tables = tuple(map(_read_only, (soc_after(self.battery, 0.0, p_ch, p_dis),
+                                            *action_terms(self.costs, self.battery,
+                                                          p_ch, p_dis))))
+            self.lattice.action_rows[key] = tables
+        return tables
 
     @cached_property
+    def base_costs(self) -> np.ndarray:
+        """costing.stage_base of every (step, action): (n_steps, n_actions)."""
+        _, cycling, net = self.action_tables
+        return stage_base_of(self.costs, self.battery, np.array(self.window.load)[:, None],
+                             np.array(self.forecast)[:, None], cycling, net)
+
+    @property
     def soc_steps(self) -> np.ndarray:
         """SOC change per action; soc + it is soc_after exactly (exclusive actions)."""
-        return soc_after(self.battery, 0.0, self.lattice.p_ch, self.lattice.p_dis)
+        return self.action_tables[0]
 
     def transitions(self, soc):
         """Each action's next SOC from soc (float or (k, 1) column) and SOC penalty."""
@@ -206,8 +231,12 @@ class HorizonProblem:
 
     def require_feasible(self) -> None:
         """Refuses, before any search, a window where every candidate costs inf:
-        exact, as penalties are >= 0, rounded sums monotone and inf + credit inf."""
-        self.require_finite(float(self.base_costs.min(axis=1).cumsum()[-1]))
+        exact, as penalties are >= 0, rounded sums monotone and inf + credit inf.
+        The row minima are summed in step order, as costs_of's np.cumsum sums."""
+        total = 0.0
+        for cost in self.base_costs.min(axis=1).tolist():
+            total += cost
+        self.require_finite(total)
 
     def require_finite(self, cost: float) -> float:
         """The best cost a solver found; raises when it is not finite."""

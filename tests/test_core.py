@@ -39,6 +39,36 @@ class TestScenario:
         assert w.steps == 2
         assert w.start_hour == 13
 
+    @pytest.mark.parametrize("start, length", [(30, 6), (24, 1), (-1, 3), (0, 0),
+                                               (5, -2)])
+    def test_window_refuses_start_outside_steps_or_no_length(self, start, length):
+        s = Scenario(start_hour=0, steps=24, irradiance=_series(24),
+                     wind_speed=_series(24), load=_series(24))
+        with pytest.raises(ValidationError) as excinfo:
+            s.window(start, length)
+        assert excinfo.type is ValidationError
+        assert f"start={start}, length={length}" in str(excinfo.value)
+        assert "steps=24" in str(excinfo.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), steps=st.integers(1, 30))
+    def test_window_equals_a_validated_scenario_of_the_slice(self, data, steps):
+        values = st.floats(0.0, 1e6, allow_nan=False)
+        s = Scenario(start_hour=data.draw(st.integers(0, 10**6)), steps=steps,
+                     irradiance=data.draw(st.lists(values, min_size=steps, max_size=steps)),
+                     wind_speed=data.draw(st.lists(values, min_size=steps, max_size=steps)),
+                     load=data.draw(st.lists(values, min_size=steps, max_size=steps)))
+        start = data.draw(st.integers(0, steps - 1))
+        length = data.draw(st.integers(1, steps + 3))
+        stop = min(start + length, steps)
+        w = s.window(start, length)
+        assert w == Scenario(start_hour=s.start_hour + start, steps=stop - start,
+                             irradiance=s.irradiance[start:stop],
+                             wind_speed=s.wind_speed[start:stop],
+                             load=s.load[start:stop])
+        assert all(type(getattr(w, name)) is tuple
+                   for name in ("irradiance", "wind_speed", "load"))
+
 
 class TestBatteryParams:
     def test_rejects_inverted_bounds(self):

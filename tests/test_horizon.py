@@ -7,20 +7,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helios.horizon
 from conftest import action_indices, brute_force_optimum, make_problem, random_small_problem
 from helios.battery import soc_after, step_soc
+from helios.config import Config
 from helios.core import (BudgetExceeded, ControlAction, CostParams, InvalidStep,
                          ValidationError)
-from helios.costing import step_cost
+from helios.costing import soc_penalty, step_cost
+from helios.data import SyntheticProfile, generate_synthetic
+from helios.engine import _window_problem
 from helios.evo import AcoParams, EvoParams, aco_solve, eg_solve
 from helios.horizon import (DEFAULT_MAX_ENUMERATION, ActionLattice, CandidateSequence,
                             HorizonProblem, _dp_tables, _solve_dp,
                             _solve_enumeration, build_lattice, solve_exact,
                             solve_myopic)
+from helios.renewable import predict_series
 
 # The five solver entry points the engine reaches.
 SOLVERS = [
@@ -384,6 +388,27 @@ class TestSolveExact:
         assert peak < 1_000_000
 
 
+# Lattices of 23, 111 and 6 actions, shared by every example of a property
+# so that windows of several (battery, costs) keys reuse one lattice.
+SHARED_LATTICES = {23: build_lattice(1000.0, 100.0, 50.0),
+                   111: build_lattice(1000.0, 100.0, 10.0),
+                   6: build_lattice(150.0, 100.0, 50.0)}
+TABLE_BATTERIES = [Config().battery, replace(Config().battery, eta_ch=0.8, eta_dis=0.85),
+                   replace(Config().battery, dt=0.5)]
+TABLE_COSTS = [CostParams(), CostParams(c_bat=0.07, c_backup=0.4, q_under=12.0, r_over=9.0)]
+
+
+def one_expression_stage_base(cp, bp, load, renewable, p_ch, p_dis):
+    """Battery + backup cost per (step, action) in one expression, with the
+    backup power summed as backup_power sums it: (renewable + p_dis) - p_ch."""
+    return (cp.c_bat * p_dis * bp.dt
+            + cp.c_backup * np.maximum(0.0, load - (renewable + p_dis - p_ch)) * bp.dt)
+
+
+def bits(a) -> list:
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
 class TestHorizonProblem:
     def test_lattice_arrays_are_cached_and_read_only(self, small_lattice):
         assert small_lattice.p_ch is small_lattice.p_ch
@@ -399,6 +424,69 @@ class TestHorizonProblem:
         idx = rng.integers(0, len(hp.lattice), (200, hp.n_steps))
         want = [hp.cost_of([hp.lattice.actions[int(i)] for i in row]) for row in idx]
         assert hp.costs_of(idx).tolist() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_actions=st.sampled_from(sorted(SHARED_LATTICES)),
+           bp=st.sampled_from(TABLE_BATTERIES), cp=st.sampled_from(TABLE_COSTS),
+           noise=st.sampled_from([0.0, 20.0]), terminal=st.sampled_from([0.0, 0.2]),
+           horizon=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           socs=st.lists(st.floats(50.0, 950.0), min_size=4, max_size=4))
+    def test_per_run_tables_price_windows_as_the_one_expression_kernel(
+            self, n_actions, bp, cp, noise, terminal, horizon, seed, socs):
+        # Windows as the closed loop assembles them, noise on or off, with
+        # soc0 inside and around the band [100, 900].
+        lattice = SHARED_LATTICES[n_actions]
+        cfg = replace(Config(), battery=bp, costs=cp, forecast_noise_kw=noise,
+                      terminal_soc_value=terminal)
+        scenario = generate_synthetic(1, SyntheticProfile(wind_jitter_ms=3.0),
+                                      seed=seed % 1000)
+        forecast = predict_series(cfg.renewable, scenario.irradiance, scenario.wind_speed)
+        noise_rng = np.random.default_rng(seed) if noise > 0 else None
+        p_ch, p_dis = lattice.p_ch, lattice.p_dis
+        for t, soc0 in zip((0, 7, 18, 23), socs):
+            hp = _window_problem(cfg, scenario, t, horizon, soc0, lattice, forecast,
+                                 noise_rng)
+            load = np.array(hp.window.load)[:, None]
+            ren = np.array(hp.forecast)[:, None]
+            assert bits(hp.base_costs) == bits(
+                one_expression_stage_base(cp, bp, load, ren, p_ch, p_dis))
+            assert bits(hp.soc_steps) == bits(soc_after(bp, 0.0, p_ch, p_dis))
+            soc_next, pen = hp.transitions(soc0)
+            assert bits(soc_next) == bits(soc_after(bp, soc0, p_ch, p_dis))
+            assert bits(pen) == bits(soc_penalty(cp, bp, soc_next))
+            assert lattice.action_rows[(bp, cp)] is hp.action_tables
+            assert all(not table.flags.writeable for table in hp.action_tables)
+
+    def test_action_tables_are_read_only_and_kept_per_lattice_and_key(self):
+        lattice = build_lattice(1000.0, 100.0, 50.0)
+        hp = make_problem([320.0, 180.0], [90.0, 400.0], soc0=433.3, lattice=lattice)
+        tables = hp.action_tables
+        assert lattice.action_rows == {(hp.battery, hp.costs): tables}
+        assert hp.soc_steps is tables[0]
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+        # Another window with the same key reuses them.
+        other = make_problem([50.0] * 3, [0.0] * 3, soc0=871.0, lattice=lattice)
+        assert other.action_tables is tables
+        assert len(lattice.action_rows) == 1
+        # Another battery or costs, or another lattice, gets its own tables.
+        variants = [replace(hp, costs=CostParams(c_bat=0.07)),
+                    replace(hp, battery=replace(hp.battery, eta_ch=0.7))]
+        for variant in variants:
+            assert variant.action_tables is not tables
+            want = [soc_after(variant.battery, 0.0, lattice.p_ch, lattice.p_dis),
+                    variant.costs.c_bat * lattice.p_dis * variant.battery.dt,
+                    lattice.p_dis - lattice.p_ch]
+            assert [bits(t) for t in variant.action_tables] == [bits(w) for w in want]
+        assert len(lattice.action_rows) == 3
+        assert [bits(t) for t in variants[0].action_tables[::2]] == [
+            bits(t) for t in tables[::2]]  # only the cycling cost moved
+        fresh = replace(hp, lattice=build_lattice(1000.0, 100.0, 50.0))
+        assert fresh.action_tables is not tables
+        assert [bits(t) for t in fresh.action_tables] == [bits(t) for t in tables]
+        assert len(fresh.lattice.action_rows) == 1
+        assert lattice.dp_rows == {}  # kept apart from the DP's grid tables
 
     def test_renewables_is_a_copy_of_the_forecast(self):
         hp = make_problem([100.0, 200.0], [50.0, 0.0])
@@ -442,6 +530,39 @@ def test_window_with_some_infinite_candidates_is_solved(solve):
     out = solve(hp)
     plan = out if isinstance(out, CandidateSequence) else out[0]
     assert math.isfinite(hp.cost_of(plan))
+
+
+def refused(hp) -> bool:
+    try:
+        hp.require_feasible()
+    except ValidationError:
+        return True
+    return False
+
+
+# Backup costs of loads near the float maximum overflow and warn.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(loads=st.lists(st.one_of(st.floats(0.0, 1e3), st.floats(1e307, 1.79e308)),
+                      min_size=1, max_size=12),
+       cp=st.sampled_from([CostParams(), CostParams(c_backup=1.5, q_under=2.0, r_over=2.0)]))
+@example(loads=[300.0, 1.7e308, 20.0], cp=CostParams(c_backup=1.5, q_under=2.0,
+                                                    r_over=2.0))  # an all-inf row
+@example(loads=[1.7e308] * 4, cp=CostParams())  # finite rows, their sum overflows
+def test_require_feasible_refuses_exactly_where_the_summed_row_minima_overflow(loads, cp):
+    hp = make_problem(loads, [0.0] * len(loads), costs=cp)
+    summed = float(hp.base_costs.min(axis=1).cumsum()[-1])
+    assert refused(hp) == (not math.isfinite(summed))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_require_feasible_refuses_an_all_inf_row_and_an_overflowing_finite_sum():
+    all_inf = make_problem([300.0, 1.7e308, 20.0], [0.0] * 3,
+                           costs=CostParams(c_backup=1.5, q_under=2.0, r_over=2.0))
+    assert np.isinf(all_inf.base_costs[1]).all() and refused(all_inf)
+    overflow = make_problem([1.7e308] * 4, [0.0] * 4)
+    assert np.isfinite(overflow.base_costs).all() and refused(overflow)
+    assert not refused(make_problem([1.7e308] * 3, [0.0] * 3))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -64,6 +64,33 @@ class TestHourlyCsv:
         with pytest.raises(ParseError, match=f"row {row}: .*hour.*{raw}"):
             load_hourly_csv(str(path))
 
+    def test_hours_past_float_precision_are_read_exactly(self, tmp_path):
+        # 10**17 + 1 rounds to 10**17 as a float; as ints the hours run on.
+        path = tmp_path / "big.csv"
+        path.write_text("hour,irradiance_kwh_m2,wind_ms,load_kw\n"
+                        "100000000000000000,0.5,8.0,200.0\n"
+                        "100000000000000001,0.5,8.0,200.0\n")
+        scenario = load_hourly_csv(str(path))
+        assert (scenario.start_hour, scenario.steps) == (10**17, 2)
+        path.write_text("hour,irradiance_kwh_m2,wind_ms,load_kw\n"
+                        "100000000000000000,0.5,8.0,200.0\n"
+                        "100000000000000000,0.5,8.0,200.0\n")
+        with pytest.raises(ParseError, match=r"row 1: .*expected 100000000000000001\)"):
+            load_hourly_csv(str(path))
+
+    @pytest.mark.parametrize("row", [0, 1])
+    @pytest.mark.parametrize("raw", ["0.5", "1.5", "2.0", "1e3"])
+    def test_non_integer_hour_is_refused_as_such(self, tmp_path, raw, row):
+        hours = ["0", "1", "2"]
+        hours[row] = raw
+        path = tmp_path / "bad.csv"
+        path.write_text("hour,irradiance_kwh_m2,wind_ms,load_kw\n"
+                        + "".join(f"{h},0.5,8.0,200.0\n" for h in hours))
+        with pytest.raises(ParseError,
+                           match=f"row {row}: column 'hour' has value '{raw}', "
+                                 "which is not an integer literal"):
+            load_hourly_csv(str(path))
+
     def test_fit_samples_require_renewable_column(self, tmp_path):
         scenario = generate_synthetic(days=1, seed=0)
         bare = tmp_path / "bare.csv"
