@@ -21,7 +21,13 @@ exact soc0 alone. Grid rows have the same SOC penalties and successor nodes
 at every stage of every window, so _dp_tables cuts them once per (battery,
 costs, grid step) into read-only blocks of at most _DP_BLOCK cells (128 KB)
 on the run's lattice; the heap reuses a block's stage temporaries, and intp
-indices gather about twice as fast as int32 ones (no index cast).
+indices gather about twice as fast as int32 ones (no index cast). A window
+first walks forward to the nodes each stage can start from (R_1 = soc0's
+successor nodes, R_{t+1} = the successors of R_t) and prices a stage only on
+its R_t, gathered from the full tables in chunks of at most _DP_BLOCK cells;
+every row in R_t gets the same arithmetic as in a full sweep, so plans are
+unchanged. From the first stage whose R_t holds more than _DP_DENSE of the
+grid, that stage and every later one sweep all rows through the blocks.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ MAX_DP_TABLE = 50_000_000       # grid nodes * steps * actions
 
 _ENUM_CHUNK = 2048
 _DP_BLOCK = 16384   # elements of a DP stage block: 128 KB of float64
+_DP_DENSE = 0.5     # share of the grid above which a DP stage sweeps every row
 
 
 @dataclass(frozen=True)
@@ -77,7 +84,8 @@ class ActionLattice:
 
     @cached_property
     def dp_rows(self) -> dict:
-        """_dp_tables' read-only (succ, row blocks) by (battery, costs, soc_grid_step)."""
+        """_dp_tables' read-only (succ, pen, row blocks) by (battery, costs,
+        soc_grid_step)."""
         return {}
 
     @cached_property
@@ -316,42 +324,75 @@ def _solve_dp(hp: HorizonProblem, soc_grid_step: float
 
 def _dp_tables(hp: HorizonProblem, soc_grid_step: float
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backward DP over the SOC grid nodes, then stage 0 from the exact soc0 alone.
+    """Backward DP over the SOC grid nodes reachable from soc0, then stage 0
+    from the exact soc0 alone.
 
     Returns (policy, succ, q0, succ0): each grid node's first minimising
-    (smallest) action index at stages 1..n_steps-1, the node each action
-    leads to from each node, then each action's stage-0 cost-to-go from soc0
-    and the node it leads to (nearest, round half up, clamped to the grid).
+    (smallest) action index at stages 1..n_steps-1, -1 at a node the sweep
+    skipped as unreachable at that stage; the node each action leads to from
+    each node; then each action's stage-0 cost-to-go from soc0 and the node
+    it leads to (nearest, round half up, clamped to the grid).
     """
     if not (math.isfinite(soc_grid_step) and soc_grid_step > 0):
         raise InvalidStep(f"soc_grid_step must be finite and positive, got {soc_grid_step}")
     bp, n, n_actions = hp.battery, hp.n_steps, len(hp.lattice)
+    n_nodes = _grid_nodes(bp.soc_min, bp.soc_max, soc_grid_step)
+    if n_nodes * n * n_actions > MAX_DP_TABLE:
+        raise BudgetExceeded(f"DP table {n_nodes}x{n}x{n_actions} exceeds {MAX_DP_TABLE}")
     grid = np.arange(bp.soc_min, bp.soc_max + soc_grid_step / 2, soc_grid_step)
-    if len(grid) * n * n_actions > MAX_DP_TABLE:
-        raise BudgetExceeded(f"DP table {len(grid)}x{n}x{n_actions} exceeds {MAX_DP_TABLE}")
-    key = (bp, hp.costs, soc_grid_step)
-    if key not in hp.lattice.dp_rows:  # the grid rows' blocks, once per run
+    key, block = (bp, hp.costs, soc_grid_step), max(1, _DP_BLOCK // n_actions)
+    if key not in hp.lattice.dp_rows:  # the grid rows' tables and blocks, once per run
         soc_next, pen = hp.transitions(grid[:, None])
-        succ = _read_only(_snap(soc_next, bp.soc_min, soc_grid_step, len(grid)), np.intp)
-        pen, block = _read_only(pen), max(1, _DP_BLOCK // n_actions)
-        hp.lattice.dp_rows[key] = succ, tuple(
+        succ = _read_only(_snap(soc_next, bp.soc_min, soc_grid_step, n_nodes), np.intp)
+        pen = _read_only(pen)
+        hp.lattice.dp_rows[key] = succ, pen, tuple(
             (slice(s, s + block), pen[s:s + block], succ[s:s + block])
-            for s in range(0, len(grid), block))
-    succ, blocks = hp.lattice.dp_rows[key]
-    value, out = hp.terminal_credit(grid), np.empty(len(grid))  # stages t + 1 and t
-    policy = np.empty((n - 1, len(grid)), dtype=np.intp)
-    for t in range(n - 1, 0, -1):
-        for rows, pen, succ_rows in blocks:
-            q = pen + hp.base_costs[t]
-            q += value[succ_rows]
-            policy[t - 1, rows] = np.argmin(q, axis=1)
-            out[rows] = q[np.arange(len(q)), policy[t - 1, rows]]
-        value, out = out, value
+            for s in range(0, n_nodes, block))
+    succ, pen, blocks = hp.lattice.dp_rows[key]
     soc_next0, q0 = hp.transitions(hp.soc0)
+    succ0 = _snap(soc_next0, bp.soc_min, soc_grid_step, n_nodes)
+    # Forward: reach[t - 1] is R_t, the nodes stage t can start from, in
+    # chunks of at most `block` rows, up to the first stage where R_t holds
+    # more than _DP_DENSE of the grid; that stage and every later one sweep
+    # all rows, a superset of theirs.
+    reach, mask = [], np.zeros(n_nodes, dtype=bool)
+    mask[succ0] = True
+    for t in range(1, n):
+        rows = np.flatnonzero(mask)
+        if len(rows) > _DP_DENSE * n_nodes:
+            break
+        reach.append([rows[s:s + block] for s in range(0, len(rows), block)])
+        if t < n - 1:
+            mask[:] = False
+            for chunk in reach[-1]:
+                mask[succ[chunk]] = True
+    value, out = hp.terminal_credit(grid), np.empty(n_nodes)  # stages t + 1 and t
+    policy = np.empty((n - 1, n_nodes), dtype=np.intp)
+    policy[:len(reach)] = -1
+    for t in range(n - 1, 0, -1):
+        if t > len(reach):
+            for rows, pen_rows, succ_rows in blocks:
+                q = pen_rows + hp.base_costs[t]
+                q += value[succ_rows]
+                policy[t - 1, rows] = best = np.argmin(q, axis=1)
+                out[rows] = q[np.arange(len(q)), best]
+        else:
+            for rows in reach[t - 1]:
+                q = pen[rows]  # a gathered copy, priced in place
+                q += hp.base_costs[t]
+                q += value[succ[rows]]
+                policy[t - 1, rows] = best = np.argmin(q, axis=1)
+                out[rows] = q[np.arange(len(q)), best]
+        value, out = out, value
     q0 += hp.base_costs[0]
-    succ0 = _snap(soc_next0, bp.soc_min, soc_grid_step, len(grid))
     q0 += value[succ0]
     return policy, succ, q0, succ0
+
+
+def _grid_nodes(soc_min: float, soc_max: float, soc_grid_step: float) -> int:
+    """len(np.arange(soc_min, soc_max + soc_grid_step / 2, soc_grid_step)), as numpy
+    counts it, without building the grid."""
+    return math.ceil((soc_max + soc_grid_step / 2 - soc_min) / soc_grid_step)
 
 
 def _snap(soc, soc_min: float, soc_grid_step: float, n_nodes: int) -> np.ndarray:

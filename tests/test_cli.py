@@ -1,7 +1,12 @@
 """End-to-end CLI behavior: subcommands, exit codes, emitted files."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import helios
 from helios.cli import cli_main
 from helios.config import Config, save_config
 from helios.data import load_hourly_csv
@@ -180,6 +185,21 @@ def test_budget_exhaustion_exits_2(tmp_path):
                      "--set", "max_enumeration=0",
                      "--set", "soc_grid_step_kwh=0.00001"])
     assert code == 2
+
+
+def test_grid_past_memory_exits_2_without_a_traceback(tmp_path):
+    # 8e11 grid nodes: 5.82 TiB, if the grid were built before the budget check.
+    src = os.path.dirname(os.path.dirname(helios.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-m", "helios", "compare", "--data", "synthetic",
+         "--strategies", "standard_mpc", "--set", "soc_grid_step_kwh=1e-9",
+         "--set", "max_enumeration=0", "--out-dir", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 2
+    assert "budget error: DP table" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_nan_load_in_csv_exits_1_naming_the_field(tmp_path, capsys):

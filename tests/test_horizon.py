@@ -47,11 +47,7 @@ def reference_dp(hp, soc_grid_step):
     """
     bp, cp = hp.battery, hp.costs
     p_ch, p_dis = hp.lattice.p_ch, hp.lattice.p_dis
-    grid = np.arange(bp.soc_min, bp.soc_max + soc_grid_step / 2, soc_grid_step)
-
-    def snap(soc):
-        k = np.floor((soc - bp.soc_min) / soc_grid_step + 0.5).astype(np.int64)
-        return np.clip(k, 0, len(grid) - 1)
+    grid, snap = reference_grid(hp, soc_grid_step)
 
     def stage(t, soc_next):
         return (cp.c_bat * p_dis * bp.dt
@@ -79,17 +75,60 @@ def reference_dp(hp, soc_grid_step):
     return values, policy, q0.min(), idx, hp.cost_of([hp.lattice.actions[i] for i in idx])
 
 
+def reference_grid(hp, soc_grid_step):
+    """The SOC grid and its snap: each SOC's nearest node, round half up, clamped."""
+    bp = hp.battery
+    grid = np.arange(bp.soc_min, bp.soc_max + soc_grid_step / 2, soc_grid_step)
+
+    def snap(soc):
+        k = np.floor((soc - bp.soc_min) / soc_grid_step + 0.5).astype(np.int64)
+        return np.clip(k, 0, len(grid) - 1)
+    return grid, snap
+
+
+def reference_reach(hp, soc_grid_step):
+    """R_1..R_{n-1}, the grid nodes stages 1..n-1 can start from: the forward
+    closure of soc0 under reference_dp's snap, as sorted lists."""
+    bp, p_ch, p_dis = hp.battery, hp.lattice.p_ch, hp.lattice.p_dis
+    grid, snap = reference_grid(hp, soc_grid_step)
+    reach, nodes = [], np.unique(snap(soc_after(bp, hp.soc0, p_ch, p_dis)))
+    for _ in range(1, hp.n_steps):
+        reach.append(nodes.tolist())
+        nodes = np.unique(snap(soc_after(bp, grid[nodes][:, None], p_ch, p_dis)))
+    return reach
+
+
+def check_swept_policy(policy, ref_policy, hp, soc_grid_step) -> int:
+    """_dp_tables' policy sweeps each stage's R_t, up to the first R_t holding
+    more than _DP_DENSE of the grid, and every row from that stage on; it
+    equals the reference on the rows it sweeps and is -1 on the others.
+    Returns the index (stage - 1) of the first stage swept in full."""
+    n_nodes, reach = policy.shape[1], reference_reach(hp, soc_grid_step)
+    dense = next((t for t, rows in enumerate(reach)
+                  if len(rows) > helios.horizon._DP_DENSE * n_nodes), len(reach))
+    assert policy.shape == (hp.n_steps - 1, n_nodes)
+    for t, rows in enumerate(reach):
+        swept = np.flatnonzero(policy[t] != -1)
+        assert swept.tolist() == (list(range(n_nodes)) if t >= dense else rows)
+        assert policy[t, swept].tolist() == ref_policy[t + 1, swept].tolist()
+    return dense
+
+
 def cached_dp_rows(hp, soc_grid_step):
-    """The lattice's (succ, blocks) for hp's key: read-only blocks tiling succ's rows."""
-    succ, blocks = hp.lattice.dp_rows[(hp.battery, hp.costs, soc_grid_step)]
+    """The lattice's (succ, pen, blocks) for hp's key: read-only, the blocks
+    tiling succ's and pen's rows."""
+    succ, pen, blocks = hp.lattice.dp_rows[(hp.battery, hp.costs, soc_grid_step)]
     block = len(blocks[0][2])
     assert [rows.start for rows, _, _ in blocks] == list(range(0, len(succ), block))
     assert np.concatenate([b[2] for b in blocks]).tolist() == succ.tolist()
-    assert all(pen.size <= helios.horizon._DP_BLOCK for _, pen, _ in blocks)
-    for table in (succ, *(t for _, pen, succ_rows in blocks for t in (pen, succ_rows))):
+    assert np.concatenate([b[1] for b in blocks]).tolist() == pen.tolist()
+    assert pen.shape == succ.shape == (len(succ), len(hp.lattice))
+    assert all(pen_rows.size <= helios.horizon._DP_BLOCK for _, pen_rows, _ in blocks)
+    for table in (succ, pen, *(t for _, pen_rows, succ_rows in blocks
+                               for t in (pen_rows, succ_rows))):
         with pytest.raises(ValueError):
             table[0, 0] = 1
-    return succ, blocks
+    return succ, pen, blocks
 
 
 def reference_enumeration(hp, chunk=2048):
@@ -289,8 +328,9 @@ class TestSolveExact:
                               terminal_soc_value=float(rng.choice([0.0, 0.2])))
             policy, succ, q0, _ = _dp_tables(hp, grid_step)
             _, ref_policy, ref_q0, ref_idx, ref_cost = reference_dp(hp, grid_step)
-            # Grid stages 1..n-1, then stage 0, which is solved from soc0 alone.
-            assert policy.tolist() == ref_policy[1:].tolist()
+            # Grid stages 1..n-1 on the rows swept, then stage 0, which is
+            # solved from soc0 alone.
+            check_swept_policy(policy, ref_policy, hp, grid_step)
             assert (q0.min(), np.argmin(q0)) == (ref_q0, ref_idx[0])
             seq, cost = _solve_dp(hp, grid_step)
             assert list(action_indices(hp, seq)) == ref_idx
@@ -299,10 +339,26 @@ class TestSolveExact:
         assert len(lattice.dp_rows) == 1  # one key: every window shares its tables
 
     def test_budget_exceeded_when_dp_table_too_large(self):
-        hp = make_problem([100.0] * 3, [0.0] * 3)
-        with pytest.raises(BudgetExceeded):
-            solve_exact(hp, soc_grid_step=1e-4, max_enumeration=0)
-        assert hp.lattice.dp_rows == {}  # refused before any table was built
+        for step in (1e-4, 1e-9, 1e-300):
+            hp = make_problem([100.0] * 3, [0.0] * 3)
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetExceeded):
+                    solve_exact(hp, soc_grid_step=step, max_enumeration=0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 100_000  # refused before the grid (64 MB at 1e-4) was built
+            assert hp.lattice.dp_rows == {}  # and before any table was built
+
+    @settings(max_examples=300, deadline=None)
+    @given(soc_min=st.floats(0.0, 1000.0), span=st.floats(1e-6, 1000.0),
+           step=st.one_of(st.sampled_from([10.0, 0.5, 0.37, 0.1, 1 / 3, 1e-2]),
+                          st.floats(1e-2, 2000.0)))
+    def test_grid_node_count_is_the_length_of_the_grid(self, soc_min, span, step):
+        soc_max = soc_min + span
+        grid = np.arange(soc_min, soc_max + step / 2, step)
+        assert helios.horizon._grid_nodes(soc_min, soc_max, step) == len(grid)
 
     @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -1.0],
                              ids=["nan", "inf", "zero", "negative"])
@@ -316,20 +372,20 @@ class TestSolveExact:
         lattice = build_lattice(1000.0, 100.0, 50.0)
         hp = make_problem([320.0, 180.0], [90.0, 400.0], soc0=433.3, lattice=lattice)
         _, succ, _, _ = _dp_tables(hp, 10.0)
-        cached, blocks = cached_dp_rows(hp, 10.0)
+        cached, _, blocks = cached_dp_rows(hp, 10.0)
         assert cached is succ and succ.dtype == np.intp
         assert len(lattice.dp_rows) == 1
         # Another window with the same key reuses them.
         other = make_problem([50.0] * 3, [0.0] * 3, soc0=871.0, lattice=lattice)
         assert _dp_tables(other, 10.0)[1] is succ
-        assert cached_dp_rows(other, 10.0)[1] is blocks
+        assert cached_dp_rows(other, 10.0)[2] is blocks
         assert len(lattice.dp_rows) == 1
         # Any other key, or another lattice, gets its own tables.
         keys = [(replace(hp, costs=CostParams(r_over=3.0)), 10.0), (hp, 5.0),
                 (replace(hp, battery=replace(hp.battery, eta_ch=0.7)), 10.0)]
         for variant, step in keys:
             assert _dp_tables(variant, step)[1] is not succ
-            assert cached_dp_rows(variant, step)[1] is not blocks
+            assert cached_dp_rows(variant, step)[2] is not blocks
         assert len(lattice.dp_rows) == 4
         fresh = replace(hp, lattice=build_lattice(1000.0, 100.0, 50.0))
         assert _dp_tables(fresh, 10.0)[1] is not succ
@@ -362,7 +418,7 @@ class TestSolveExact:
                 assert np.array_equal(policy, cold_policy)
                 assert np.array_equal(q0, cold_q0)
                 _, ref_policy, ref_q0, ref_idx, ref_cost = reference_dp(hp, step)
-                assert policy.tolist() == ref_policy[1:].tolist()
+                check_swept_policy(policy, ref_policy, hp, step)
                 assert (q0.min(), np.argmin(q0)) == (ref_q0, ref_idx[0])
                 seq, cost = _solve_dp(hp, step)
                 assert (seq, cost) == _solve_dp(cold, step)
@@ -386,6 +442,58 @@ class TestSolveExact:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    # Only rows reachable from soc0 are swept: 23, 111 and 6 actions, grid
+    # steps 10, 0.5 and 0.37 kWh (81, 1601 and 2163 nodes), and soc0 far
+    # enough outside the band that its successors clamp at either grid end.
+    @settings(max_examples=60, deadline=None)
+    @given(size=st.sampled_from([23, 111, 6]), step=st.sampled_from([10.0, 0.5, 0.37]),
+           n=st.integers(1, 10), soc0=st.floats(-300.0, 1500.0),
+           terminal=st.sampled_from([0.0, 0.2]), data=st.data())
+    def test_reachable_sweep_equals_the_reference_and_the_full_sweep(
+            self, size, step, n, soc0, terminal, data):
+        power = st.one_of(st.floats(0.0, 700.0), st.sampled_from([0.0, 100.0, 400.0]))
+        hp = make_problem(data.draw(st.lists(power, min_size=n, max_size=n), label="load"),
+                          data.draw(st.lists(power, min_size=n, max_size=n), label="ren"),
+                          soc0=soc0, lattice=SHARED_LATTICES[size],
+                          terminal_soc_value=terminal)
+        check_pruned_dp(hp, step)
+
+    @pytest.mark.parametrize("size, step, n, soc0, dense", [
+        (6, 0.37, 10, 500.0, 9),     # sparse to the end, R_9 569 of 2163 nodes
+        (6, 10.0, 10, 1500.0, 6),    # R_1 one node, the top: dense from stage 7
+        (23, 10.0, 6, 480.0, 2),     # dense from stage 3
+        (111, 10.0, 5, 100.0, 0),    # dense from stage 1: R_1 is the whole grid
+        (111, 0.5, 6, 612.7, 2),     # the 10 kW lattice, 0.5 kWh grid: from stage 3
+        (23, 0.5, 6, -300.0, 5),     # the 50 kW lattice from below the band: sparse
+    ])
+    def test_reach_sets_and_the_dense_switch(self, size, step, n, soc0, dense):
+        loads, rens = [150.0, 400.0, 250.0, 150.0, 90.0] * 2, [300.0, 0.0, 500.0] * 4
+        hp = make_problem(loads[:n], rens[:n], soc0=soc0, lattice=SHARED_LATTICES[size],
+                          terminal_soc_value=0.2)
+        assert check_pruned_dp(hp, step) == dense
+
+
+def check_pruned_dp(hp, soc_grid_step) -> int:
+    """_dp_tables on hp equals reference_dp (swept policy rows, stage-0 minimum
+    and action, plan and cost) and, bit for bit, a sweep of every row at every
+    stage (q0, and the policy on the rows swept). Returns check_swept_policy's
+    first full stage."""
+    policy, succ, q0, succ0 = _dp_tables(hp, soc_grid_step)
+    _, ref_policy, ref_q0, ref_idx, ref_cost = reference_dp(hp, soc_grid_step)
+    dense = check_swept_policy(policy, ref_policy, hp, soc_grid_step)
+    assert (q0.min(), np.argmin(q0)) == (ref_q0, ref_idx[0])
+    assert succ0.tolist() == reference_grid(hp, soc_grid_step)[1](
+        soc_after(hp.battery, hp.soc0, hp.lattice.p_ch, hp.lattice.p_dis)).tolist()
+    seq, cost = _solve_dp(hp, soc_grid_step)
+    assert (list(action_indices(hp, seq)), cost) == (ref_idx, ref_cost)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(helios.horizon, "_DP_DENSE", -1.0)  # every stage sweeps every row
+        full_policy, _, full_q0, _ = _dp_tables(hp, soc_grid_step)
+    assert q0.view(np.int64).tolist() == full_q0.view(np.int64).tolist()
+    swept = policy != -1
+    assert policy[swept].tolist() == full_policy[swept].tolist()
+    return dense
 
 
 # Lattices of 23, 111 and 6 actions, shared by every example of a property
