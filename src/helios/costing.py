@@ -21,8 +21,11 @@ battery power of each action alone: HorizonProblem keeps action_terms once
 per run and tabulates stage_base_of once per window. sequence_costs_batch
 prices rows of lattice indices by gathering from the window's tables, bit
 for bit sequence_cost: actions are exclusive, so
-soc + soc_after(bp, 0.0, ...) == soc_after(bp, soc, ...), the SOC path is a
-sequential np.cumsum and so is the total.
+soc + soc_after(bp, 0.0, ...) == soc_after(bp, soc, ...), and the SOC path
+and the total are sequential sums along the steps. It works step-major, one
+row per step, so each running sum is one np.add.accumulate over the rows
+rather than a per-row cumsum, and a step-major caller's transposed view
+gathers without a copy.
 """
 
 from __future__ import annotations
@@ -131,18 +134,23 @@ def sequence_costs_batch(cp: CostParams, bp: BatteryParams, base_costs: np.ndarr
                          soc_steps: np.ndarray, soc0: float, idx: np.ndarray,
                          terminal_soc_value: float = 0.0) -> np.ndarray:
     """J of each row of idx, (n_sequences, n_steps) lattice indices, from the
-    window's (n_steps, n_actions) stage_base table and each action's SOC step."""
+    window's (n_steps, n_actions) stage_base table and each action's SOC step.
+
+    Summed in step order, as np.cumsum along each row would: the SOC path
+    from soc0, then the step costs, then the terminal term."""
     n_steps = base_costs.shape[0]
     if idx.shape[1] != n_steps:
         raise LengthMismatch("window length does not match sequence shape")
-    soc = soc_steps[idx]
-    soc[:, 0] += soc0
-    np.cumsum(soc, axis=1, out=soc)
-    cost = base_costs[np.arange(n_steps), idx]
+    steps = idx.T  # step-major: row t holds every sequence's action at step t
+    soc = soc_steps.take(steps)
+    soc[0] += soc0
+    np.add.accumulate(soc, axis=0, out=soc)
+    step_rows = np.arange(0, base_costs.size, base_costs.shape[1])[:, None]  # flat (t, 0)
+    cost = base_costs.take(step_rows + steps)
     cost += soc_penalty(cp, bp, soc)
-    total = np.cumsum(cost, axis=1, out=cost)[:, -1].copy()
+    total = np.add.accumulate(cost, axis=0, out=cost)[-1].copy()
     if terminal_soc_value != 0.0:
-        total += terminal_soc_value * (bp.soc_max - soc[:, -1])
+        total += terminal_soc_value * (bp.soc_max - soc[-1])
     return total
 
 

@@ -3,11 +3,30 @@
 eg_solve runs the evolutionary-game optimizer: Latin hypercube init,
 fitness-proportionate selection, multi-point crossover, per-gene mutation,
 elitist replacement, and a first-improvement local search on the incumbent
-best. Each operator has one implementation, a batch kernel over index rows
-(_lhs_indices, _select_batch, _crossover_batch, _mutate_batch,
-_local_search_indices) that eg_solve runs; the object-level crossover and
-mutate are thin wrappers over them that draw the same random numbers.
-Candidates are priced by the window's own objective, HorizonProblem.costs_of.
+best. Each operator has one implementation: _lhs_indices, _select (on given
+uniforms), the mask kernels _cut_mask and _mutation_mask, and
+_local_search_indices. The batch kernels _select_batch, _crossover_batch and
+_mutate_batch draw their uniforms and apply those, and the object-level
+crossover and mutate are thin wrappers over them that draw the same random
+numbers. Candidates are priced by the window's own objective,
+HorizonProblem.costs_of.
+
+A generation of eg_solve draws, whatever the costs, in this order (the order
+is the contract that fixes every plan for a seed): random(2 * n_pairs)
+selection uniforms, random((n_pairs, n - 1)) crossover cut keys (only when
+k >= 1 cuts fit), random((n_children, n)) mutation coins, then
+integers(0, n_actions, (n_children, n)) replacement genes. The three random
+calls are one call of their summed length, which yields the same doubles;
+integers stays its own call, as it draws 32-bit halves that a merged call
+would regroup. Since nothing drawn depends on costs, eg_solve draws a block
+of generations ahead (at most _EG_BLOCK doubles, 128 KB) and builds the
+block's crossover and mutation masks in one pass; a generation then only
+selects parents on its uniforms, gathers each child's genes from its own
+parent or, where the mask says, its partner, copies in the mutated genes,
+and prices the children. The population is step-major, (n_steps,
+population), in two buffers that swap each generation: elites first, then
+the children, so argmin and argsort break ties as on row-major populations.
+
 The local search scores all replacements at one gene position in a single
 batch, and charges its budget only for the evaluations up to and including
 the first improvement, as a one-at-a-time scan would. aco_solve is the
@@ -33,6 +52,8 @@ import numpy as np
 from .core import LengthMismatch, ValidationError, check_finite_fields
 from .horizon import (ActionLattice, CandidateSequence, HorizonProblem,
                       sequence_from_indices)
+
+_EG_BLOCK = 16384   # float64 draws in a block of generations: 128 KB
 
 
 @dataclass(frozen=True)
@@ -110,22 +131,27 @@ def _lhs_indices(rng: np.random.Generator, m: int, n_steps: int,
     return out
 
 
-def _select_batch(costs: np.ndarray, rng: np.random.Generator, epsilon: float,
-                  count: int) -> np.ndarray:
-    """count fitness-proportionate parent indices: P(i) = f_i / sum(f)."""
+def _select(costs: np.ndarray, u: np.ndarray, epsilon: float) -> np.ndarray:
+    """Fitness-proportionate parent indices, P(i) = f_i / sum(f), one per
+    uniform in u."""
     # Cost-to-fitness transform for a minimization objective: affine
     # inversion against the generation's worst, offset so equal costs
     # still select uniformly. Non-finite costs get zero fitness (against the
     # worst finite cost); with none finite, every draw is uniform.
     worst = costs.max()
     if math.isfinite(worst):
-        cum = np.cumsum((worst - costs) + epsilon)
+        cum = ((worst - costs) + epsilon).cumsum()
     else:
         finite = np.isfinite(costs)
         cum = np.cumsum(np.where(finite, (costs[finite].max() - costs) + epsilon, 0.0)
                         if finite.any() else np.ones(costs.size))
-    u = rng.random(count) * cum[-1]
-    return np.minimum(np.searchsorted(cum, u, side="right"), costs.size - 1)
+    return np.minimum(cum.searchsorted(u * cum[-1], side="right"), costs.size - 1)
+
+
+def _select_batch(costs: np.ndarray, rng: np.random.Generator, epsilon: float,
+                  count: int) -> np.ndarray:
+    """count fitness-proportionate parent indices: P(i) = f_i / sum(f)."""
+    return _select(costs, rng.random(count), epsilon)
 
 
 def crossover(a: CandidateSequence, b: CandidateSequence, k: int,
@@ -151,10 +177,22 @@ def _crossover_batch(a: np.ndarray, b: np.ndarray, k: int,
                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Crossover of paired parent rows at k distinct cuts drawn per pair."""
     pairs, n = a.shape
-    cuts = rng.random((pairs, n - 1)).argsort(axis=1)[:, :k] + 1
-    # Gene j comes from b when an odd number of cuts lie at or before it.
-    use_b = np.logical_xor.reduce(cuts[:, :, None] <= np.arange(n), axis=1)
+    use_b = _cut_mask(rng.random((pairs, n - 1)), k)
     return np.where(use_b, b, a), np.where(use_b, a, b)
+
+
+def _cut_mask(u: np.ndarray, k: int) -> np.ndarray:
+    """Crossover's (pairs, n) gene-source mask from (pairs, n - 1) uniforms.
+
+    Each row cuts at the k positions 1..n-1 of its k smallest draws; gene j
+    comes from the second parent when an odd number of cuts lie at or
+    before it.
+    """
+    pairs, n = u.shape[0], u.shape[1] + 1
+    cuts = u.argsort(axis=1)[:, :k] + 1
+    flags = np.zeros((pairs, n), dtype=bool)
+    np.put_along_axis(flags, cuts, True, axis=1)
+    return np.logical_xor.accumulate(flags, axis=1)
 
 
 def mutate(u: CandidateSequence, lattice: ActionLattice, p_mut: float,
@@ -176,7 +214,12 @@ def _mutate_batch(genomes: np.ndarray, n_actions: int, p_mut: float,
     """Replace each gene with probability p_mut by a uniform index < n_actions."""
     coins = rng.random(genomes.shape)
     repl = rng.integers(0, n_actions, size=genomes.shape)
-    return np.where(coins < p_mut, repl, genomes)
+    return np.where(_mutation_mask(coins, p_mut), repl, genomes)
+
+
+def _mutation_mask(coins: np.ndarray, p_mut: float) -> np.ndarray:
+    """Mutation's gene mask from one uniform per gene."""
+    return coins < p_mut
 
 
 def _local_search_indices(hp: HorizonProblem, genome: np.ndarray, cost: float,
@@ -233,57 +276,77 @@ def eg_solve(hp: HorizonProblem, ep: EvoParams
     hp.require_feasible()
     rng = np.random.default_rng(ep.seed)
     n, n_actions = hp.n_steps, len(hp.lattice)
-    m = ep.population
+    m, elite = ep.population, ep.elite
+    n_children = m - elite
+    n_pairs = (n_children + 1) // 2
+    k = min(ep.crossover_points, n - 1)  # 0: one-gene sequences cannot be cut
+    # A generation's doubles, in draw order: selection, cuts, mutation coins.
+    n_sel = 2 * n_pairs
+    n_cut = n_pairs * (n - 1) if k >= 1 else 0
+    width = n_sel + n_cut + n_children * n
+    block = max(1, min(ep.generations, _EG_BLOCK // width))
+    draws = np.empty((block, width))
+    genes = np.empty((block, n, n_children), dtype=np.int64)  # replacement genes
+    # Child c's own parent is selection draw c, its partner draw c ^ 1.
+    partner_of = np.arange(n_children) ^ 1
 
-    pop = _lhs_indices(rng, m, n, n_actions)
-    costs = hp.costs_of(pop)
+    # Step-major populations, elites first, then children; each generation
+    # writes into the buffer the last one read.
+    pop, nxt = np.empty((2, n, m), dtype=np.int64)
+    pop[...] = _lhs_indices(rng, m, n, n_actions).T
+    costs, nxt_costs = np.empty((2, m))
+    costs[...] = hp.costs_of(pop.T)
     bi = int(np.argmin(costs))
-    best_genome = pop[bi].copy()
+    best_genome = pop[:, bi].copy()
     best_cost = float(costs[bi])
-    last_searched: np.ndarray | None = None
+    last_searched = b""
 
     trace: list[float] = []
-    for _ in range(ep.generations):
-        n_children = m - ep.elite
-        n_pairs = (n_children + 1) // 2
-        parents = _select_batch(costs, rng, ep.epsilon_fitness, 2 * n_pairs)
-        pa = pop[parents[0::2]]
-        pb = pop[parents[1::2]]
-        k = min(ep.crossover_points, n - 1)
+    for start in range(0, ep.generations, block):
+        count = min(block, ep.generations - start)
+        for g in range(count):
+            rng.random(out=draws[g])
+            genes[g] = rng.integers(0, n_actions, size=(n_children, n)).T
+        # Everything that needs only the draws, for the whole block, step-major.
         if k >= 1:
-            c1, c2 = _crossover_batch(pa, pb, k, rng)
-        else:  # one-gene sequences cannot be cut
-            c1, c2 = pa.copy(), pb.copy()
-        # Rows c1[0], c2[0], c1[1], ...: each pair's children side by side.
-        children = np.concatenate((c1, c2), axis=1).reshape(-1, n)[:n_children]
-        children = _mutate_batch(children, n_actions, ep.p_mut, rng)
-        child_costs = hp.costs_of(children)
+            use_b = _cut_mask(draws[:count, n_sel:n_sel + n_cut].reshape(-1, n - 1), k)
+            swap = np.repeat(use_b.reshape(count, n_pairs, n), 2, axis=1)[:, :n_children]
+            swap = np.ascontiguousarray(swap.transpose(0, 2, 1))
+        coins = draws[:count, n_sel + n_cut:].reshape(count, n_children, n)
+        mutated = np.ascontiguousarray(_mutation_mask(coins, ep.p_mut).transpose(0, 2, 1))
 
-        keep = np.argsort(costs, kind="stable")[:ep.elite]
-        pop = np.concatenate([pop[keep], children])
-        costs = np.concatenate([costs[keep], child_costs])
-        assert pop.shape[0] == m  # population size is invariant
+        for g in range(count):
+            parents = _select(costs, draws[g, :n_sel], ep.epsilon_fitness)
+            children = nxt[:, elite:]
+            pop.take(parents[:n_children], axis=1, out=children)
+            if k >= 1:
+                np.copyto(children, pop.take(parents[partner_of], axis=1), where=swap[g])
+            np.copyto(children, genes[g], where=mutated[g])
+            keep = costs.argsort(kind="stable")[:elite]
+            pop.take(keep, axis=1, out=nxt[:, :elite])
+            costs.take(keep, out=nxt_costs[:elite])
+            nxt_costs[elite:] = hp.costs_of(children.T)
+            pop, nxt, costs, nxt_costs = nxt, pop, nxt_costs, costs
 
-        bi = int(np.argmin(costs))
-        if costs[bi] < best_cost:
-            best_cost = float(costs[bi])
-            best_genome = pop[bi].copy()
+            bi = int(costs.argmin())
+            if costs[bi] < best_cost:
+                best_cost = float(costs[bi])
+                best_genome = pop[:, bi].copy()
 
-        # Local search on the incumbent best. Re-searching an unchanged
-        # incumbent cannot improve it (the climb is deterministic), so skip.
-        if ep.local_search_budget > 0 and (
-                last_searched is None or not np.array_equal(pop[bi], last_searched)):
-            refined, refined_cost = _local_search_indices(
-                hp, pop[bi], float(costs[bi]), ep.local_search_budget)
-            last_searched = refined.copy()
-            if refined_cost < costs[bi]:
-                pop[bi] = refined
-                costs[bi] = refined_cost
-            if refined_cost < best_cost:
-                best_cost = float(refined_cost)
-                best_genome = refined.copy()
+            # Local search on the incumbent best. Re-searching an unchanged
+            # incumbent cannot improve it (the climb is deterministic), so skip.
+            if ep.local_search_budget > 0 and pop[:, bi].tobytes() != last_searched:
+                refined, refined_cost = _local_search_indices(
+                    hp, pop[:, bi], float(costs[bi]), ep.local_search_budget)
+                last_searched = refined.tobytes()
+                if refined_cost < costs[bi]:
+                    pop[:, bi] = refined
+                    costs[bi] = refined_cost
+                if refined_cost < best_cost:
+                    best_cost = float(refined_cost)
+                    best_genome = refined.copy()
 
-        trace.append(best_cost)
+            trace.append(best_cost)
 
     best_cost = hp.require_finite(best_cost)
     return sequence_from_indices(hp.lattice, best_genome), best_cost, trace

@@ -49,6 +49,7 @@ DEFAULT_DELTA_P = 50.0          # kW
 DEFAULT_SOC_GRID_STEP = 10.0    # kWh
 DEFAULT_MAX_ENUMERATION = 1_000_000   # sequences
 MAX_DP_TABLE = 50_000_000       # grid nodes * steps * actions
+MAX_LATTICE_LEVELS = 100_000    # charge + discharge levels, p_max / delta_p each
 
 _ENUM_CHUNK = 2048
 _DP_BLOCK = 16384   # elements of a DP stage block: 128 KB of float64
@@ -117,6 +118,11 @@ def build_lattice(p_ch_max: float, p_dis_max: float,
     """Enumerate the action set for the given rate limits and step size."""
     if delta_p <= 0:
         raise InvalidStep(f"delta_p must be positive, got {delta_p}")
+    # Counted before any action is built; a quotient that overflows is inf.
+    levels = p_ch_max / delta_p + p_dis_max / delta_p
+    if not levels <= MAX_LATTICE_LEVELS:
+        raise BudgetExceeded(f"lattice of {levels:.3g} levels at delta_p {delta_p} kW "
+                             f"exceeds {MAX_LATTICE_LEVELS}")
     ch_levels = _levels(p_ch_max, delta_p)
     dis_levels = _levels(p_dis_max, delta_p)
     actions = [ControlAction()]
@@ -240,7 +246,7 @@ class HorizonProblem:
     def require_feasible(self) -> None:
         """Refuses, before any search, a window where every candidate costs inf:
         exact, as penalties are >= 0, rounded sums monotone and inf + credit inf.
-        The row minima are summed in step order, as costs_of's np.cumsum sums."""
+        The row minima are summed in step order, as costs_of sums."""
         total = 0.0
         for cost in self.base_costs.min(axis=1).tolist():
             total += cost

@@ -187,19 +187,36 @@ def test_budget_exhaustion_exits_2(tmp_path):
     assert code == 2
 
 
-def test_grid_past_memory_exits_2_without_a_traceback(tmp_path):
-    # 8e11 grid nodes: 5.82 TiB, if the grid were built before the budget check.
+def run_helios_module(*args):
+    """`python -m helios ARGS` in a child process, on this checkout's helios."""
     src = os.path.dirname(os.path.dirname(helios.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run(
-        [sys.executable, "-m", "helios", "compare", "--data", "synthetic",
-         "--strategies", "standard_mpc", "--set", "soc_grid_step_kwh=1e-9",
-         "--set", "max_enumeration=0", "--out-dir", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "helios", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_grid_past_memory_exits_2_without_a_traceback(tmp_path):
+    # 8e11 grid nodes: 5.82 TiB, if the grid were built before the budget check.
+    run = run_helios_module(
+        "compare", "--data", "synthetic",
+        "--strategies", "standard_mpc", "--set", "soc_grid_step_kwh=1e-9",
+        "--set", "max_enumeration=0", "--out-dir", str(tmp_path / "o"))
     assert run.returncode == 2
     assert "budget error: DP table" in run.stderr
     assert "Traceback" not in run.stderr
+
+
+def test_lattice_past_budget_exits_2_without_a_traceback(tmp_path):
+    # 1.1e9 actions at 1e-6 kW, if they were built before the budget check;
+    # every strategy builds the lattice, the rules included.
+    run = run_helios_module(
+        "compare", "--data", "synthetic", "--strategies", "renewable_first",
+        "--set", "lattice_delta_p_kw=1e-6", "--out-dir", str(tmp_path / "o"))
+    assert run.returncode == 2
+    assert "budget error: lattice" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_nan_load_in_csv_exits_1_naming_the_field(tmp_path, capsys):

@@ -1,17 +1,21 @@
 """Evolutionary operators, the EG solver, and the ant-colony arm."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helios.evo
 from conftest import action_indices, make_problem
-from helios.core import CostParams, LengthMismatch, ValidationError
+from helios.core import ControlAction, CostParams, LengthMismatch, ValidationError
 from helios.costing import sequence_cost
 from helios.evo import (AcoParams, EvoParams, _crossover_batch, _lhs_indices,
                         _local_search_indices, _mutate_batch, _select_batch,
                         aco_solve, crossover, eg_solve, mutate)
-from helios.horizon import CandidateSequence, build_lattice, solve_exact
+from helios.horizon import (ActionLattice, CandidateSequence, build_lattice,
+                            sequence_from_indices, solve_exact)
 
 
 def scalar_local_search(hp, genome, cost, budget):
@@ -61,6 +65,84 @@ def assert_batched_climb_matches_scalar(hp, genome, cost, budgets):
         assert got_cost == want_cost
         results.append((want, want_cost))
     return results
+
+
+def reference_eg(hp, ep):
+    """eg_solve one generation at a time on a row-major population.
+
+    Each generation draws through the batch kernels, in eg_solve's order:
+    _select_batch, _crossover_batch (when a cut fits), _mutate_batch.
+    """
+    hp.require_feasible()
+    rng = np.random.default_rng(ep.seed)
+    n, n_actions = hp.n_steps, len(hp.lattice)
+    m = ep.population
+
+    pop = _lhs_indices(rng, m, n, n_actions)
+    costs = hp.costs_of(pop)
+    bi = int(np.argmin(costs))
+    best_genome = pop[bi].copy()
+    best_cost = float(costs[bi])
+    last_searched: np.ndarray | None = None
+
+    trace: list[float] = []
+    for _ in range(ep.generations):
+        n_children = m - ep.elite
+        n_pairs = (n_children + 1) // 2
+        parents = _select_batch(costs, rng, ep.epsilon_fitness, 2 * n_pairs)
+        pa = pop[parents[0::2]]
+        pb = pop[parents[1::2]]
+        k = min(ep.crossover_points, n - 1)
+        if k >= 1:
+            c1, c2 = _crossover_batch(pa, pb, k, rng)
+        else:  # one-gene sequences cannot be cut
+            c1, c2 = pa.copy(), pb.copy()
+        # Rows c1[0], c2[0], c1[1], ...: each pair's children side by side.
+        children = np.concatenate((c1, c2), axis=1).reshape(-1, n)[:n_children]
+        children = _mutate_batch(children, n_actions, ep.p_mut, rng)
+        child_costs = hp.costs_of(children)
+
+        keep = np.argsort(costs, kind="stable")[:ep.elite]
+        pop = np.concatenate([pop[keep], children])
+        costs = np.concatenate([costs[keep], child_costs])
+        assert pop.shape[0] == m  # population size is invariant
+
+        bi = int(np.argmin(costs))
+        if costs[bi] < best_cost:
+            best_cost = float(costs[bi])
+            best_genome = pop[bi].copy()
+
+        # Local search on the incumbent best. Re-searching an unchanged
+        # incumbent cannot improve it (the climb is deterministic), so skip.
+        if ep.local_search_budget > 0 and (
+                last_searched is None or not np.array_equal(pop[bi], last_searched)):
+            refined, refined_cost = _local_search_indices(
+                hp, pop[bi], float(costs[bi]), ep.local_search_budget)
+            last_searched = refined.copy()
+            if refined_cost < costs[bi]:
+                pop[bi] = refined
+                costs[bi] = refined_cost
+            if refined_cost < best_cost:
+                best_cost = float(refined_cost)
+                best_genome = refined.copy()
+
+        trace.append(best_cost)
+
+    best_cost = hp.require_finite(best_cost)
+    return sequence_from_indices(hp.lattice, best_genome), best_cost, trace
+
+
+EG_LATTICES = {len(lattice): lattice for lattice in (  # 23, 111, 6 and 3 actions
+    build_lattice(1000.0, 100.0, 50.0), build_lattice(1000.0, 100.0, 10.0),
+    build_lattice(150.0, 100.0, 50.0), build_lattice(50.0, 50.0, 50.0))}
+
+
+def assert_eg_matches_reference(hp, ep):
+    seq, cost, trace = eg_solve(hp, ep)
+    ref_seq, ref_cost, ref_trace = reference_eg(hp, ep)
+    assert action_indices(hp, seq) == action_indices(hp, ref_seq)
+    assert cost == ref_cost
+    assert trace == ref_trace
 
 
 def reference_aco(hp, ap, below=np.less):
@@ -335,6 +417,22 @@ class TestMutate:
             assert rng_a.random() == rng_b.random()  # same number of draws
 
 
+    def test_a_coin_equal_to_p_mut_keeps_its_gene(self):
+        # A random coin equals p_mut with probability about 2^-53, so only
+        # hand-made draws pin the boundary: a gene mutates when its coin is
+        # below p_mut.
+        class FixedDraws:
+            def random(self, size):
+                return np.full(size, 0.25)
+
+            def integers(self, low, high, size):
+                return np.full(size, 7)
+
+        genomes = np.zeros((2, 3), dtype=np.int64)
+        assert _mutate_batch(genomes, 23, 0.25, FixedDraws()).tolist() == genomes.tolist()
+        assert (_mutate_batch(genomes, 23, np.nextafter(0.25, 1.0), FixedDraws()) == 7).all()
+
+
 class TestLocalSearch:
     def test_zero_budget_is_identity(self):
         hp = make_problem([300.0, 100.0], [50.0, 20.0])
@@ -440,6 +538,59 @@ class TestEgSolve:
                                                  seed=int(rng.integers(1 << 30))))
             assert all(b <= a for a, b in zip(trace, trace[1:]))
             assert len(trace) == 40
+
+
+    # n = 1 takes the branch without crossover; odd child counts leave a pair
+    # with one child; an _EG_BLOCK of 1 makes one-generation blocks, 500
+    # blocks of a few generations, and 16384 (the default) one partial block
+    # here; soc0 reaches outside the [100, 900] band.
+    @settings(max_examples=150, deadline=None)
+    @given(n_actions=st.sampled_from(sorted(EG_LATTICES)), n=st.integers(1, 8),
+           population=st.integers(5, 130), p_mut=st.sampled_from([0.0, 0.05, 1.0]),
+           local_search_budget=st.sampled_from([0, 50, 400]),
+           generations=st.integers(1, 25), block=st.sampled_from([1, 500, 16384]),
+           soc0=st.floats(-300.0, 1500.0), terminal=st.sampled_from([0.0, 0.2]),
+           seed=st.integers(0, 2**31), data=st.data())
+    def test_equals_the_one_generation_reference_bit_for_bit(
+            self, n_actions, n, population, p_mut, local_search_budget, generations,
+            block, soc0, terminal, seed, data):
+        power = st.floats(0.0, 700.0)
+        hp = make_problem(data.draw(st.lists(power, min_size=n, max_size=n), label="load"),
+                          data.draw(st.lists(power, min_size=n, max_size=n), label="ren"),
+                          soc0=soc0, lattice=EG_LATTICES[n_actions],
+                          terminal_soc_value=terminal)
+        ep = EvoParams(population=population, generations=generations, p_mut=p_mut,
+                       crossover_points=data.draw(st.integers(1, n + 2), label="cuts"),
+                       elite=data.draw(st.integers(2, population - 1), label="elite"),
+                       local_search_budget=local_search_budget, seed=seed)
+        with mock.patch.object(helios.evo, "_EG_BLOCK", block):
+            assert_eg_matches_reference(hp, ep)
+
+    def test_equals_the_reference_at_the_reference_sizes(self):
+        # Population 120 on 6 steps of 23 actions: blocks of 14, 14 and 12
+        # generations.
+        hp = make_problem([199.0, 449.0, 449.0, 449.0, 449.0, 199.0], [0.0] * 6,
+                          lattice=EG_LATTICES[23], terminal_soc_value=0.2)
+        assert_eg_matches_reference(hp, EvoParams(population=120, generations=40,
+                                                  local_search_budget=400, seed=2024))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_equals_the_reference_with_infinite_cost_candidates(self):
+        # A 1.7e308 kW charge overflows the SOC penalty, so every plan that
+        # uses it costs inf; Latin hypercube init gives it to some member at
+        # every step, so selection starts on non-finite costs.
+        lattice = ActionLattice(delta_p=50.0, levels_ch=1, levels_dis=1,
+                                actions=(ControlAction(), ControlAction(p_ch=1.7e308),
+                                         ControlAction(p_dis=50.0)))
+        hp = make_problem([300.0, 120.0, 300.0, 80.0], [0.0, 50.0, 0.0, 10.0],
+                          lattice=lattice)
+        for seed in range(4):
+            ep = EvoParams(population=9, generations=12, elite=2, p_mut=0.3,
+                           local_search_budget=5, seed=seed)
+            init = _lhs_indices(np.random.default_rng(seed), 9, 4, 3)
+            assert np.isinf(hp.costs_of(init)).any()
+            with mock.patch.object(helios.evo, "_EG_BLOCK", 100):
+                assert_eg_matches_reference(hp, ep)
 
 
 class TestAcoSolve:

@@ -179,6 +179,24 @@ class TestBuildLattice:
         with pytest.raises(InvalidStep):
             build_lattice(100.0, 100.0, bad)
 
+    @pytest.mark.parametrize("step", [1e-6, 1e-300, 5e-324])  # 5e-324: 1000 / step is inf
+    def test_budget_exceeded_before_any_action_is_built(self, step):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                build_lattice(1000.0, 100.0, step)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # 1.1e9 actions at 1e-6 kW, had they been built
+
+    def test_a_lattice_at_the_level_budget_is_built(self, monkeypatch):
+        monkeypatch.setattr(helios.horizon, "MAX_LATTICE_LEVELS", 22)
+        assert len(build_lattice(1000.0, 100.0, 50.0)) == 23  # 20 + 2 levels
+        monkeypatch.setattr(helios.horizon, "MAX_LATTICE_LEVELS", 21)
+        with pytest.raises(BudgetExceeded):
+            build_lattice(1000.0, 100.0, 50.0)
+
 
 class TestSolveExact:
     def test_one_step_equals_direct_scan(self):
