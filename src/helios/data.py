@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParseError, Scenario, ValidationError
+from .core import (NegativeValue, ParseError, Scenario, ValidationError,
+                   check_finite_fields)
 from .renewable import RenewableModel, predict
 
 SCENARIO_COLUMNS = ("hour", "irradiance_kwh_m2", "wind_ms", "load_kw")
@@ -122,6 +123,12 @@ class SyntheticProfile:
     irradiance_peak: float = 1.0  # kWh/m2 at solar noon
     wind_base_ms: float = 8.0
     wind_jitter_ms: float = 0.0   # uniform +/- amplitude, 0 disables jitter
+
+    def __post_init__(self):
+        check_finite_fields(self)
+        if self.wind_jitter_ms < 0:
+            raise NegativeValue(
+                f"SyntheticProfile.wind_jitter_ms must be >= 0, got {self.wind_jitter_ms}")
 
 
 def generate_synthetic(days: int, profile: SyntheticProfile | None = None,

@@ -117,7 +117,8 @@ def run_closed_loop(scenario: Scenario, strategy: StrategyKind, cfg: Config,
             f"initial_soc {cfg.initial_soc} outside [{bp.soc_min}, {bp.soc_max}]")
     run_seed = cfg.seed if seed is None else seed
     lattice = build_lattice(bp.p_ch_max, bp.p_dis_max, cfg.delta_p)
-    noise_rng = (np.random.default_rng(run_seed)
+    # Seeds in [0, 2**64) keep their stream; a negative one wraps into it.
+    noise_rng = (np.random.default_rng(run_seed % 2**64)
                  if cfg.forecast_noise_kw > 0 else None)
     forecast = predict_series(cfg.renewable, scenario.irradiance,
                               scenario.wind_speed)

@@ -5,11 +5,11 @@ fitness-proportionate selection, multi-point crossover, per-gene mutation,
 elitist replacement, and a first-improvement local search on the incumbent
 best. Each operator has one implementation: _lhs_indices, _select (on given
 uniforms), the mask kernels _cut_mask and _mutation_mask, and
-_local_search_indices. The batch kernels _select_batch, _crossover_batch and
-_mutate_batch draw their uniforms and apply those, and the object-level
-crossover and mutate are thin wrappers over them that draw the same random
-numbers. Candidates are priced by the window's own objective,
-HorizonProblem.costs_of.
+_local_search_indices. eg_solve applies the kernels to a block of draws; the
+object-level crossover and mutate draw one pair's cut keys, or one genome's
+coins and replacement genes, as eg_solve's stream lays them out, and apply
+the masks to the actions directly. Candidates are priced by the window's own
+objective, HorizonProblem.costs_of.
 
 A generation of eg_solve draws, whatever the costs, in this order (the order
 is the contract that fixes every plan for a seed): random(2 * n_pairs)
@@ -148,12 +148,6 @@ def _select(costs: np.ndarray, u: np.ndarray, epsilon: float) -> np.ndarray:
     return np.minimum(cum.searchsorted(u * cum[-1], side="right"), costs.size - 1)
 
 
-def _select_batch(costs: np.ndarray, rng: np.random.Generator, epsilon: float,
-                  count: int) -> np.ndarray:
-    """count fitness-proportionate parent indices: P(i) = f_i / sum(f)."""
-    return _select(costs, rng.random(count), epsilon)
-
-
 def crossover(a: CandidateSequence, b: CandidateSequence, k: int,
               rng: np.random.Generator) -> tuple[CandidateSequence, CandidateSequence]:
     """Multi-point crossover with k distinct cut positions.
@@ -166,19 +160,9 @@ def crossover(a: CandidateSequence, b: CandidateSequence, k: int,
         raise LengthMismatch(f"parent lengths differ: {n} vs {len(b)}")
     if n < 2 or not (1 <= k < n):
         raise ValidationError(f"need 1 <= k < len(parents), got k={k}, n={n}")
-    # Genes as indices into a.actions + b.actions, so any actions cross over.
-    genes = a.actions + b.actions
-    children = _crossover_batch(np.arange(n)[None, :], np.arange(n, 2 * n)[None, :],
-                                k, rng)
-    return tuple(CandidateSequence(tuple(genes[i] for i in c[0])) for c in children)
-
-
-def _crossover_batch(a: np.ndarray, b: np.ndarray, k: int,
-                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Crossover of paired parent rows at k distinct cuts drawn per pair."""
-    pairs, n = a.shape
-    use_b = _cut_mask(rng.random((pairs, n - 1)), k)
-    return np.where(use_b, b, a), np.where(use_b, a, b)
+    use_b = _cut_mask(rng.random((1, n - 1)), k)[0].tolist()
+    return (CandidateSequence(tuple(y if s else x for x, y, s in zip(a, b, use_b))),
+            CandidateSequence(tuple(x if s else y for x, y, s in zip(a, b, use_b))))
 
 
 def _cut_mask(u: np.ndarray, k: int) -> np.ndarray:
@@ -201,20 +185,11 @@ def mutate(u: CandidateSequence, lattice: ActionLattice, p_mut: float,
 
     The replacement may equal the original gene.
     """
-    # Genes as indices into lattice.actions + u.actions: a kept gene stays
-    # u's own action, a replaced one is a lattice index.
-    genes = lattice.actions + u.actions
-    mutated = _mutate_batch(np.arange(len(lattice), len(genes))[None, :],
-                            len(lattice), p_mut, rng)
-    return CandidateSequence(tuple(genes[i] for i in mutated[0]))
-
-
-def _mutate_batch(genomes: np.ndarray, n_actions: int, p_mut: float,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Replace each gene with probability p_mut by a uniform index < n_actions."""
-    coins = rng.random(genomes.shape)
-    repl = rng.integers(0, n_actions, size=genomes.shape)
-    return np.where(_mutation_mask(coins, p_mut), repl, genomes)
+    # Coins first, then replacement genes: the order eg_solve draws them in.
+    mutated = _mutation_mask(rng.random((1, len(u))), p_mut)[0].tolist()
+    repl = rng.integers(0, len(lattice), (1, len(u)))[0].tolist()
+    return CandidateSequence(tuple(lattice.actions[r] if m else g
+                                   for g, r, m in zip(u, repl, mutated)))
 
 
 def _mutation_mask(coins: np.ndarray, p_mut: float) -> np.ndarray:

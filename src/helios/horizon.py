@@ -18,16 +18,15 @@ prices each shared prefix once, summed as costs_of sums; blocks of at most
 _ENUM_CHUNK // n_actions nodes keep memory O(n_steps * _ENUM_CHUNK). DP
 sweeps the SOC grid backward in two value rows, then solves stage 0 from the
 exact soc0 alone. Grid rows have the same SOC penalties and successor nodes
-at every stage of every window, so _dp_tables cuts them once per (battery,
-costs, grid step) into read-only blocks of at most _DP_BLOCK cells (128 KB)
-on the run's lattice; the heap reuses a block's stage temporaries, and intp
-indices gather about twice as fast as int32 ones (no index cast). A window
-first walks forward to the nodes each stage can start from (R_1 = soc0's
-successor nodes, R_{t+1} = the successors of R_t) and prices a stage only on
-its R_t, gathered from the full tables in chunks of at most _DP_BLOCK cells;
-every row in R_t gets the same arithmetic as in a full sweep, so plans are
-unchanged. From the first stage whose R_t holds more than _DP_DENSE of the
-grid, that stage and every later one sweep all rows through the blocks.
+at every stage of every window, so _dp_tables builds both tables once per
+(battery, costs, grid step), read-only on the run's lattice; intp indices
+gather about twice as fast as int32 ones (no index cast). A window first
+walks forward to the nodes each stage can start from (R_1 = soc0's successor
+nodes, R_{t+1} = the successors of R_t). Each stage then prices a list of row
+chunks of at most _DP_BLOCK cells (128 KB), every chunk by the same lines:
+index chunks of R_t, up to the first stage whose R_t holds more than
+_DP_DENSE of the grid, and slices over all rows from that stage on. A row
+gets the same arithmetic in any chunk, so plans are those of a full sweep.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ MAX_DP_TABLE = 50_000_000       # grid nodes * steps * actions
 MAX_LATTICE_LEVELS = 100_000    # charge + discharge levels, p_max / delta_p each
 
 _ENUM_CHUNK = 2048
-_DP_BLOCK = 16384   # elements of a DP stage block: 128 KB of float64
+_DP_BLOCK = 16384   # cells in a DP stage chunk: 128 KB of float64
 _DP_DENSE = 0.5     # share of the grid above which a DP stage sweeps every row
 
 
@@ -85,8 +84,7 @@ class ActionLattice:
 
     @cached_property
     def dp_rows(self) -> dict:
-        """_dp_tables' read-only (succ, pen, row blocks) by (battery, costs,
-        soc_grid_step)."""
+        """_dp_tables' read-only (succ, pen) by (battery, costs, soc_grid_step)."""
         return {}
 
     @cached_property
@@ -347,48 +345,40 @@ def _dp_tables(hp: HorizonProblem, soc_grid_step: float
         raise BudgetExceeded(f"DP table {n_nodes}x{n}x{n_actions} exceeds {MAX_DP_TABLE}")
     grid = np.arange(bp.soc_min, bp.soc_max + soc_grid_step / 2, soc_grid_step)
     key, block = (bp, hp.costs, soc_grid_step), max(1, _DP_BLOCK // n_actions)
-    if key not in hp.lattice.dp_rows:  # the grid rows' tables and blocks, once per run
+    if key not in hp.lattice.dp_rows:  # the grid rows' tables, once per run
         soc_next, pen = hp.transitions(grid[:, None])
-        succ = _read_only(_snap(soc_next, bp.soc_min, soc_grid_step, n_nodes), np.intp)
-        pen = _read_only(pen)
-        hp.lattice.dp_rows[key] = succ, pen, tuple(
-            (slice(s, s + block), pen[s:s + block], succ[s:s + block])
-            for s in range(0, n_nodes, block))
-    succ, pen, blocks = hp.lattice.dp_rows[key]
+        hp.lattice.dp_rows[key] = (
+            _read_only(_snap(soc_next, bp.soc_min, soc_grid_step, n_nodes), np.intp),
+            _read_only(pen))
+    succ, pen = hp.lattice.dp_rows[key]
     soc_next0, q0 = hp.transitions(hp.soc0)
     succ0 = _snap(soc_next0, bp.soc_min, soc_grid_step, n_nodes)
-    # Forward: reach[t - 1] is R_t, the nodes stage t can start from, in
-    # chunks of at most `block` rows, up to the first stage where R_t holds
-    # more than _DP_DENSE of the grid; that stage and every later one sweep
-    # all rows, a superset of theirs.
-    reach, mask = [], np.zeros(n_nodes, dtype=bool)
+    # Forward: chunks[t - 1] holds the rows stage t prices, at most `block`
+    # per chunk: R_t, the nodes stage t can start from, up to the first stage
+    # where R_t holds more than _DP_DENSE of the grid; that stage and every
+    # later one sweep all rows, a superset of theirs.
+    chunks, mask = [], np.zeros(n_nodes, dtype=bool)
     mask[succ0] = True
     for t in range(1, n):
         rows = np.flatnonzero(mask)
         if len(rows) > _DP_DENSE * n_nodes:
             break
-        reach.append([rows[s:s + block] for s in range(0, len(rows), block)])
+        chunks.append([rows[s:s + block] for s in range(0, len(rows), block)])
         if t < n - 1:
             mask[:] = False
-            for chunk in reach[-1]:
+            for chunk in chunks[-1]:
                 mask[succ[chunk]] = True
-    value, out = hp.terminal_credit(grid), np.empty(n_nodes)  # stages t + 1 and t
     policy = np.empty((n - 1, n_nodes), dtype=np.intp)
-    policy[:len(reach)] = -1
+    policy[:len(chunks)] = -1
+    dense = [slice(s, s + block) for s in range(0, n_nodes, block)]
+    chunks += [dense] * (n - 1 - len(chunks))
+    value, out = hp.terminal_credit(grid), np.empty(n_nodes)  # stages t + 1 and t
     for t in range(n - 1, 0, -1):
-        if t > len(reach):
-            for rows, pen_rows, succ_rows in blocks:
-                q = pen_rows + hp.base_costs[t]
-                q += value[succ_rows]
-                policy[t - 1, rows] = best = np.argmin(q, axis=1)
-                out[rows] = q[np.arange(len(q)), best]
-        else:
-            for rows in reach[t - 1]:
-                q = pen[rows]  # a gathered copy, priced in place
-                q += hp.base_costs[t]
-                q += value[succ[rows]]
-                policy[t - 1, rows] = best = np.argmin(q, axis=1)
-                out[rows] = q[np.arange(len(q)), best]
+        for rows in chunks[t - 1]:
+            q = pen[rows] + hp.base_costs[t]
+            q += value[succ[rows]]
+            policy[t - 1, rows] = best = np.argmin(q, axis=1)
+            out[rows] = q[np.arange(len(q)), best]
         value, out = out, value
     q0 += hp.base_costs[0]
     q0 += value[succ0]

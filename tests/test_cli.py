@@ -282,6 +282,26 @@ def test_non_finite_set_of_every_float_key_exits_1_naming_the_field(tmp_path, ca
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--wind-base", "nan", "SyntheticProfile.wind_base_ms must be finite"),
+    ("--wind-jitter", "nan", "SyntheticProfile.wind_jitter_ms must be finite"),
+    ("--wind-jitter", "inf", "SyntheticProfile.wind_jitter_ms must be finite"),
+    ("--wind-jitter", "-1", "SyntheticProfile.wind_jitter_ms must be >= 0"),
+])
+def test_bad_profile_option_exits_1_naming_the_field(tmp_path, capsys, flag, value,
+                                                     message):
+    csv = tmp_path / "s.csv"
+    assert cli_main(["generate-data", flag, value, "--out", str(csv)]) == 1
+    assert message in capsys.readouterr().err
+    assert not csv.exists()
+
+
+def test_negative_seed_with_forecast_noise_runs(tmp_path):
+    assert cli_main(["compare", "--data", "synthetic", "--strategies", "renewable_first",
+                     "--seed", "-1", "--set", "forecast_noise_kw=5",
+                     "--out-dir", str(tmp_path / "o")]) == 0
+
+
 @pytest.mark.parametrize("hours,row", [([0, 1, 3, 4], 2), ([0, 2, 1, 3], 1)],
                          ids=["gap", "swapped"])
 def test_non_contiguous_csv_hours_exit_1_naming_the_row(tmp_path, capsys, hours, row):

@@ -115,6 +115,15 @@ class TestRunClosedLoop:
         assert t1 == t2
         check_trace_invariants(t1, cfg)
 
+    @pytest.mark.parametrize("kind", [StrategyKind.RENEWABLE_FIRST,
+                                      StrategyKind.STANDARD_MPC])
+    def test_a_negative_seed_with_forecast_noise_wraps_into_the_unsigned_seeds(
+            self, kind):
+        # The noise stream of seed -1 is that of 2**64 - 1, as the window seeds are.
+        cfg = replace(Config(), horizon=4, forecast_noise_kw=30.0)
+        negative = run_closed_loop(reference_scenario(), kind, cfg, seed=-1)
+        assert negative == run_closed_loop(reference_scenario(), kind, cfg, seed=2**64 - 1)
+        check_trace_invariants(negative, cfg)
 
     @pytest.mark.parametrize("noise", [0.0, 30.0])
     def test_renewables_are_predicted_once_per_run(self, monkeypatch, noise):

@@ -11,9 +11,9 @@ import helios.evo
 from conftest import action_indices, make_problem
 from helios.core import ControlAction, CostParams, LengthMismatch, ValidationError
 from helios.costing import sequence_cost
-from helios.evo import (AcoParams, EvoParams, _crossover_batch, _lhs_indices,
-                        _local_search_indices, _mutate_batch, _select_batch,
-                        aco_solve, crossover, eg_solve, mutate)
+from helios.evo import (AcoParams, EvoParams, _cut_mask, _lhs_indices,
+                        _local_search_indices, _mutation_mask, _select, aco_solve,
+                        crossover, eg_solve, mutate)
 from helios.horizon import (ActionLattice, CandidateSequence, build_lattice,
                             sequence_from_indices, solve_exact)
 
@@ -70,8 +70,9 @@ def assert_batched_climb_matches_scalar(hp, genome, cost, budgets):
 def reference_eg(hp, ep):
     """eg_solve one generation at a time on a row-major population.
 
-    Each generation draws through the batch kernels, in eg_solve's order:
-    _select_batch, _crossover_batch (when a cut fits), _mutate_batch.
+    Each generation draws in eg_solve's order and applies the operator
+    kernels to its draws: selection uniforms, crossover cut keys (when a cut
+    fits), mutation coins, then replacement genes.
     """
     hp.require_feasible()
     rng = np.random.default_rng(ep.seed)
@@ -89,17 +90,20 @@ def reference_eg(hp, ep):
     for _ in range(ep.generations):
         n_children = m - ep.elite
         n_pairs = (n_children + 1) // 2
-        parents = _select_batch(costs, rng, ep.epsilon_fitness, 2 * n_pairs)
+        parents = _select(costs, rng.random(2 * n_pairs), ep.epsilon_fitness)
         pa = pop[parents[0::2]]
         pb = pop[parents[1::2]]
         k = min(ep.crossover_points, n - 1)
         if k >= 1:
-            c1, c2 = _crossover_batch(pa, pb, k, rng)
+            use_b = _cut_mask(rng.random((n_pairs, n - 1)), k)
+            c1, c2 = np.where(use_b, pb, pa), np.where(use_b, pa, pb)
         else:  # one-gene sequences cannot be cut
             c1, c2 = pa.copy(), pb.copy()
         # Rows c1[0], c2[0], c1[1], ...: each pair's children side by side.
         children = np.concatenate((c1, c2), axis=1).reshape(-1, n)[:n_children]
-        children = _mutate_batch(children, n_actions, ep.p_mut, rng)
+        coins = rng.random(children.shape)
+        repl = rng.integers(0, n_actions, size=children.shape)
+        children = np.where(_mutation_mask(coins, ep.p_mut), repl, children)
         child_costs = hp.costs_of(children)
 
         keep = np.argsort(costs, kind="stable")[:ep.elite]
@@ -240,13 +244,13 @@ class TestLhsInit:
 class TestSelect:
     def test_equal_costs_select_uniformly(self):
         rng = np.random.default_rng(21)
-        picks = _select_batch(np.full(4, 5.0), rng, 1e-9, 20_000)
+        picks = _select(np.full(4, 5.0), rng.random(20_000), 1e-9)
         counts = np.bincount(picks, minlength=4)
         assert np.all(np.abs(counts - 5000) < 3 * np.sqrt(20_000 * 0.25 * 0.75))
 
     def test_dominant_candidate_nearly_always_wins(self):
         rng = np.random.default_rng(2)
-        picks = _select_batch(np.array([0.0, 10.0]), rng, 1e-9, 2000)
+        picks = _select(np.array([0.0, 10.0]), rng.random(2000), 1e-9)
         assert picks.sum() == 0  # index 1 has fitness ~1e-9 of the total
 
     def test_frequencies_match_fitness_distribution(self):
@@ -256,21 +260,22 @@ class TestSelect:
         p = f / f.sum()
         rng = np.random.default_rng(12)
         n = 100_000
-        counts = np.bincount(_select_batch(costs, rng, eps, n), minlength=3)
+        counts = np.bincount(_select(costs, rng.random(n), eps), minlength=3)
         for i in range(3):
             sigma = np.sqrt(n * p[i] * (1 - p[i]))
             assert abs(counts[i] - n * p[i]) <= 3 * sigma
 
     def test_draws_what_the_batch_kernel_draws(self):
-        # count single picks draw what one batch of count picks draws.
+        # count single picks, one uniform each, pick what one batch of count
+        # uniforms picks on the same stream.
         rng = np.random.default_rng(4)
         for seed in range(50):
             costs = rng.uniform(0.0, 100.0, int(rng.integers(1, 30)))
             count = int(rng.integers(1, 8))
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-            singles = [int(_select_batch(costs, rng_a, 1e-3, 1)[0])
+            singles = [int(_select(costs, rng_a.random(1), 1e-3)[0])
                        for _ in range(count)]
-            assert singles == _select_batch(costs, rng_b, 1e-3, count).tolist()
+            assert singles == _select(costs, rng_b.random(count), 1e-3).tolist()
             assert rng_a.random() == rng_b.random()  # same number of draws
 
 
@@ -281,19 +286,19 @@ class TestSelect:
             cum = np.cumsum((costs.max() - costs) + 1e-9)
             u = np.random.default_rng(seed).random(25) * cum[-1]
             want = np.minimum(np.searchsorted(cum, u, side="right"), costs.size - 1)
-            got = _select_batch(costs, np.random.default_rng(seed), 1e-9, 25)
+            got = _select(costs, np.random.default_rng(seed).random(25), 1e-9)
             assert got.tolist() == want.tolist()
 
     @pytest.mark.filterwarnings("error")
     def test_infinite_cost_is_never_drawn(self):
-        picks = _select_batch(np.array([1.0, np.inf, 2.0]),
-                              np.random.default_rng(3), 1e-9, 5000)
+        picks = _select(np.array([1.0, np.inf, 2.0]),
+                        np.random.default_rng(3).random(5000), 1e-9)
         assert 1 not in picks
 
     @pytest.mark.filterwarnings("error")
     def test_all_infinite_costs_draw_uniformly_without_warning(self):
-        picks = _select_batch(np.full(4, np.inf), np.random.default_rng(9), 1e-9,
-                              20_000)
+        picks = _select(np.full(4, np.inf), np.random.default_rng(9).random(20_000),
+                        1e-9)
         counts = np.bincount(picks, minlength=4)
         assert np.all(np.abs(counts - 5000) < 3 * np.sqrt(20_000 * 0.25 * 0.75))
 
@@ -349,29 +354,24 @@ class TestCrossover:
             k = int(rng.integers(1, n))
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
             c1, c2 = crossover(a, b, k, rng_a)
-            w1, w2 = _crossover_batch(ai[None, :], bi[None, :], k, rng_b)
-            assert tuple(c1) == tuple(small_lattice.actions[i] for i in w1[0])
-            assert tuple(c2) == tuple(small_lattice.actions[i] for i in w2[0])
+            use_b = _cut_mask(rng_b.random((1, n - 1)), k)[0]
+            w1, w2 = np.where(use_b, bi, ai), np.where(use_b, ai, bi)
+            assert tuple(c1) == tuple(small_lattice.actions[i] for i in w1)
+            assert tuple(c2) == tuple(small_lattice.actions[i] for i in w2)
             assert rng_a.random() == rng_b.random()  # same number of draws
 
     @pytest.mark.parametrize("n", [2, 3, 6, 9])
     def test_batch_kernel_equals_the_cut_flag_cumsum_formula(self, n):
-        def reference(a, b, k, rng):
-            pairs = a.shape[0]
-            cuts = rng.random((pairs, n - 1)).argsort(axis=1)[:, :k] + 1
-            flags = np.zeros((pairs, n), dtype=np.int64)
+        # _cut_mask on 58 pairs' cut keys, against a cumulative count of cuts.
+        def reference(u, k):
+            cuts = u.argsort(axis=1)[:, :k] + 1
+            flags = np.zeros((u.shape[0], n), dtype=np.int64)
             np.put_along_axis(flags, cuts, 1, axis=1)
-            use_b = (np.cumsum(flags, axis=1) % 2).astype(bool)
-            return np.where(use_b, b, a), np.where(use_b, a, b)
+            return (np.cumsum(flags, axis=1) % 2).astype(bool)
 
-        a, b = np.random.default_rng(n).integers(0, 23, (2, 58, n))
         for k in range(1, n):
-            rng_a, rng_b = np.random.default_rng(k), np.random.default_rng(k)
-            got = _crossover_batch(a, b, k, rng_a)
-            want = reference(a, b, k, rng_b)
-            assert got[0].tolist() == want[0].tolist()
-            assert got[1].tolist() == want[1].tolist()
-            assert rng_a.random() == rng_b.random()
+            u = np.random.default_rng(k).random((58, n - 1))
+            assert _cut_mask(u, k).tolist() == reference(u, k).tolist()
 
 
 class TestMutate:
@@ -412,8 +412,10 @@ class TestMutate:
             p_mut = float(rng.uniform(0.0, 1.0))
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
             got = mutate(u, small_lattice, p_mut, rng_a)
-            want = _mutate_batch(genome[None, :], len(small_lattice), p_mut, rng_b)
-            assert tuple(got) == tuple(small_lattice.actions[i] for i in want[0])
+            coins = rng_b.random((1, genome.size))
+            repl = rng_b.integers(0, len(small_lattice), (1, genome.size))
+            want = np.where(_mutation_mask(coins, p_mut), repl, genome)[0]
+            assert tuple(got) == tuple(small_lattice.actions[i] for i in want)
             assert rng_a.random() == rng_b.random()  # same number of draws
 
 
@@ -428,9 +430,11 @@ class TestMutate:
             def integers(self, low, high, size):
                 return np.full(size, 7)
 
-        genomes = np.zeros((2, 3), dtype=np.int64)
-        assert _mutate_batch(genomes, 23, 0.25, FixedDraws()).tolist() == genomes.tolist()
-        assert (_mutate_batch(genomes, 23, np.nextafter(0.25, 1.0), FixedDraws()) == 7).all()
+        lattice = build_lattice(1000.0, 100.0, 50.0)  # 23 actions
+        u = CandidateSequence((lattice.actions[0],) * 3)
+        assert tuple(mutate(u, lattice, 0.25, FixedDraws())) == tuple(u)
+        mutated = mutate(u, lattice, np.nextafter(0.25, 1.0), FixedDraws())
+        assert tuple(mutated) == (lattice.actions[7],) * 3
 
 
 class TestLocalSearch:

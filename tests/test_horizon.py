@@ -115,20 +115,13 @@ def check_swept_policy(policy, ref_policy, hp, soc_grid_step) -> int:
 
 
 def cached_dp_rows(hp, soc_grid_step):
-    """The lattice's (succ, pen, blocks) for hp's key: read-only, the blocks
-    tiling succ's and pen's rows."""
-    succ, pen, blocks = hp.lattice.dp_rows[(hp.battery, hp.costs, soc_grid_step)]
-    block = len(blocks[0][2])
-    assert [rows.start for rows, _, _ in blocks] == list(range(0, len(succ), block))
-    assert np.concatenate([b[2] for b in blocks]).tolist() == succ.tolist()
-    assert np.concatenate([b[1] for b in blocks]).tolist() == pen.tolist()
+    """The lattice's read-only (succ, pen) for hp's key."""
+    succ, pen = hp.lattice.dp_rows[(hp.battery, hp.costs, soc_grid_step)]
     assert pen.shape == succ.shape == (len(succ), len(hp.lattice))
-    assert all(pen_rows.size <= helios.horizon._DP_BLOCK for _, pen_rows, _ in blocks)
-    for table in (succ, pen, *(t for _, pen_rows, succ_rows in blocks
-                               for t in (pen_rows, succ_rows))):
+    for table in (succ, pen):
         with pytest.raises(ValueError):
             table[0, 0] = 1
-    return succ, pen, blocks
+    return succ, pen
 
 
 def reference_enumeration(hp, chunk=2048):
@@ -390,20 +383,20 @@ class TestSolveExact:
         lattice = build_lattice(1000.0, 100.0, 50.0)
         hp = make_problem([320.0, 180.0], [90.0, 400.0], soc0=433.3, lattice=lattice)
         _, succ, _, _ = _dp_tables(hp, 10.0)
-        cached, _, blocks = cached_dp_rows(hp, 10.0)
+        cached, pen = cached_dp_rows(hp, 10.0)
         assert cached is succ and succ.dtype == np.intp
         assert len(lattice.dp_rows) == 1
         # Another window with the same key reuses them.
         other = make_problem([50.0] * 3, [0.0] * 3, soc0=871.0, lattice=lattice)
         assert _dp_tables(other, 10.0)[1] is succ
-        assert cached_dp_rows(other, 10.0)[2] is blocks
+        assert cached_dp_rows(other, 10.0)[1] is pen
         assert len(lattice.dp_rows) == 1
         # Any other key, or another lattice, gets its own tables.
         keys = [(replace(hp, costs=CostParams(r_over=3.0)), 10.0), (hp, 5.0),
                 (replace(hp, battery=replace(hp.battery, eta_ch=0.7)), 10.0)]
         for variant, step in keys:
             assert _dp_tables(variant, step)[1] is not succ
-            assert cached_dp_rows(variant, step)[2] is not blocks
+            assert cached_dp_rows(variant, step)[1] is not pen
         assert len(lattice.dp_rows) == 4
         fresh = replace(hp, lattice=build_lattice(1000.0, 100.0, 50.0))
         assert _dp_tables(fresh, 10.0)[1] is not succ

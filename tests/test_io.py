@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helios.config import _SCHEMA, Config, config_to_text, parse_config_text
-from helios.core import ParseError, ValidationError
+from helios.core import NegativeValue, ParseError, ValidationError
 from helios.data import (SyntheticProfile, generate_synthetic,
                          load_fit_samples, load_hourly_csv,
                          write_scenario_csv)
@@ -125,6 +125,17 @@ class TestGenerateSynthetic:
     def test_rejects_nonpositive_days(self):
         with pytest.raises(ValidationError):
             generate_synthetic(days=0)
+
+    @pytest.mark.parametrize("field", ["base_load_kw", "bump_load_kw", "irradiance_peak",
+                                       "wind_base_ms", "wind_jitter_ms"])
+    def test_non_finite_profile_fields_are_refused(self, field):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValidationError, match=f"{field} must be finite"):
+                SyntheticProfile(**{field: bad})
+
+    def test_negative_wind_jitter_is_refused(self):
+        with pytest.raises(NegativeValue, match="wind_jitter_ms must be >= 0"):
+            SyntheticProfile(wind_jitter_ms=-0.5)
 
     def test_load_bump_window(self):
         p = SyntheticProfile(base_load_kw=100.0, bump_load_kw=50.0,
