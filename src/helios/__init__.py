@@ -7,7 +7,7 @@ closed-loop receding-horizon engine with CSV/config tooling.
 from .baselines import StrategyKind
 from .config import Config, load_config, save_config
 from .core import BatteryParams, ControlAction, CostParams, HeliosError, Scenario
-from .costing import CostBreakdown, StepFlows
+from .costing import CostBreakdown
 from .data import SyntheticProfile, generate_synthetic, load_hourly_csv
 from .engine import ComparisonResult, DispatchTrace, compare_strategies, run_closed_loop
 from .evo import AcoParams, EvoParams, aco_solve, eg_solve
@@ -22,7 +22,7 @@ __all__ = [
     "ComparisonResult", "Config", "ControlAction",
     "CostBreakdown", "CostParams", "DispatchTrace", "EvoParams",
     "HeliosError", "HorizonProblem", "RenewableModel", "Scenario",
-    "StepFlows", "StrategyKind", "SyntheticProfile", "aco_solve",
+    "StrategyKind", "SyntheticProfile", "aco_solve",
     "build_lattice", "compare_strategies", "eg_solve", "fit",
     "generate_synthetic", "load_config", "load_hourly_csv", "reference_model",
     "predict", "run_closed_loop", "save_config", "solve_exact",

@@ -58,4 +58,6 @@ def clip_feasible(p: BatteryParams, soc: float, a: ControlAction, load: float,
     surplus = max(0.0, renewable - load)
     p_ch = min(a.p_ch, max_charge_kw(p, soc, surplus, allow_backup_charging))
     p_dis = min(a.p_dis, max_discharge_kw(p, soc), load)
+    if p_ch == a.p_ch and p_dis == a.p_dis:
+        return a  # min() kept both fields, so this is the action it would rebuild
     return ControlAction(p_ch=p_ch, p_dis=p_dis)

@@ -11,21 +11,16 @@ terminal_soc_value * (soc_max - soc_N) rewards plans that end with energy in
 the battery (zero by default, and always >= 0 so search methods that weight
 by 1/J stay well defined).
 
-The scalar step_cost books applied hours, beside step_flows, which resolves
-an action clip_feasible returned into bus flows; both take the backup power
-from backup_power, whose formula stage_base vectorizes. sequence_cost sums
-step_cost, as the tests' reference. The vector step cost is stage_base
-(battery + backup, per step and action) plus soc_penalty (per next SOC).
-stage_base is stage_base_of over action_terms, the cycling cost and net
-battery power of each action alone: HorizonProblem keeps action_terms once
-per run and tabulates stage_base_of once per window. sequence_costs_batch
-prices rows of lattice indices by gathering from the window's tables, bit
-for bit sequence_cost: actions are exclusive, so
-soc + soc_after(bp, 0.0, ...) == soc_after(bp, soc, ...), and the SOC path
-and the total are sequential sums along the steps. It works step-major, one
-row per step, so each running sum is one np.add.accumulate over the rows
-rather than a per-row cumsum, and a step-major caller's transposed view
-gathers without a copy.
+book_run books a closed-loop run in one vector pass: every hour's flows and
+bill, by backup_of (stage_base_of's backup formula) and soc_penalty, and the
+run's totals. The scalar backup_power and step_cost bill one hour by the same
+formulas and sequence_cost sums step_cost: they are the tests' reference.
+The vector step cost is stage_base (battery + backup, per step and action:
+stage_base_of over action_terms, which HorizonProblem keeps once per run)
+plus soc_penalty (per next SOC). sequence_costs_batch prices rows of lattice
+indices from a window's tables, bit for bit sequence_cost: actions are
+exclusive, so soc + soc_after(bp, 0.0, ...) == soc_after(bp, soc, ...), and
+the SOC path and the total are sequential sums along the steps.
 """
 
 from __future__ import annotations
@@ -35,10 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .battery import step_soc
-from .core import BatteryParams, ControlAction, CostParams, LengthMismatch, NegativeValue
+from .core import (BatteryParams, ControlAction, CostParams, LengthMismatch,
+                   NegativeValue, ValidationError)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostBreakdown:
     """Per-step cost components; total is always their exact sum."""
 
@@ -48,25 +44,11 @@ class CostBreakdown:
     total: float = 0.0
 
     def __post_init__(self):
-        for name, v in (("battery", self.battery), ("backup", self.backup),
-                        ("penalty", self.penalty)):
-            if v < 0:
-                raise NegativeValue(f"cost component {name} is negative: {v}")
+        if self.battery < 0 or self.backup < 0 or self.penalty < 0:
+            raise NegativeValue(
+                f"cost components must be >= 0, got battery={self.battery}, "
+                f"backup={self.backup}, penalty={self.penalty}")
         object.__setattr__(self, "total", self.battery + self.backup + self.penalty)
-
-
-@dataclass(frozen=True)
-class StepFlows:
-    """Bus flows of one applied hour, all kW; the action holds p_ch and p_dis.
-
-    Satisfies, by construction in step_flows():
-      renewable_used + p_dis + backup - p_ch == load
-      renewable_used + curtailed == renewable available
-    """
-
-    renewable_used: float
-    backup: float
-    curtailed: float
 
 
 def backup_power(load: float, renewable: float, a: ControlAction) -> float:
@@ -74,27 +56,14 @@ def backup_power(load: float, renewable: float, a: ControlAction) -> float:
     return max(0.0, load - (renewable + a.p_dis - a.p_ch))
 
 
-def step_flows(load: float, renewable: float, a: ControlAction) -> StepFlows:
-    """Resolve an action clip_feasible returned into bus flows.
-
-    Diesel covers what renewables and the battery do not; renewables cover
-    the rest of the load and the charging, and the remainder is curtailed.
-    """
-    backup = backup_power(load, renewable, a)
-    renewable_used = load + a.p_ch - a.p_dis - backup
-    return StepFlows(renewable_used=renewable_used, backup=backup,
-                     curtailed=max(0.0, renewable - renewable_used))
-
-
 def step_cost(cp: CostParams, bp: BatteryParams, load: float, renewable: float,
               a: ControlAction, soc_next: float,
               billed_discharge: float | None = None) -> CostBreakdown:
     """Cost of one step given the unclamped next SOC.
 
-    billed_discharge overrides the cycling quantity when a strategy's gross
-    discharge intent differs from the net applied action (Battery-First and
-    50/50 net simultaneous charge/discharge into one action but still pay
-    for the cycling they asked for).
+    billed_discharge overrides the cycling quantity: Battery-First and 50/50
+    net a charge and a discharge into one action but pay for the gross
+    discharge they asked for.
     """
     dis = a.p_dis if billed_discharge is None else billed_discharge
     battery = cp.c_bat * dis * bp.dt
@@ -169,10 +138,68 @@ def action_terms(cp: CostParams, bp: BatteryParams, p_ch, p_dis):
 
 def stage_base_of(cp: CostParams, bp: BatteryParams, load, renewable, cycling, net):
     """stage_base from action_terms: cycling + c_backup * backup power * dt."""
-    return cycling + cp.c_backup * np.maximum(0.0, load - (renewable + net)) * bp.dt
+    return cycling + cp.c_backup * backup_of(load, renewable, net) * bp.dt
+
+
+def backup_of(load, renewable, net):
+    """backup_power over arrays, from net = p_dis - p_ch of exclusive actions."""
+    return np.maximum(0.0, load - (renewable + net))
 
 
 def soc_penalty(cp: CostParams, bp: BatteryParams, soc_next):
     """SOC-band part of the step cost, for the unclamped next SOC."""
     return (cp.q_under * np.maximum(0.0, bp.soc_min - soc_next)
             + cp.r_over * np.maximum(0.0, soc_next - bp.soc_max))
+
+
+@dataclass(frozen=True, slots=True)
+class HourRecord:
+    """Applied flows, state and cost of one simulated hour."""
+
+    hour: int
+    load: float                 # kW
+    renewable_available: float  # kW
+    renewable_used: float       # kW
+    p_ch: float                 # kW
+    p_dis: float                # kW
+    backup: float               # kW
+    curtailed: float            # kW
+    soc: float                  # kWh, end of hour
+    cost: CostBreakdown
+
+
+def book_run(cp: CostParams, bp: BatteryParams, first_hour: int, load, renewable,
+             p_ch, p_dis, billed_discharge, soc_next, soc):
+    """(records, total cost, total backup kWh, total curtailed kWh) of a run
+    whose hour t applied the exclusive action (p_ch[t], p_dis[t]), is billed for
+    billed_discharge[t] and ended at SOC soc_next[t], clamped soc[t].
+
+    Renewables serve load and charging before diesel does and the rest is
+    curtailed; flows and costs equal backup_power's and step_cost's bit for
+    bit, totals are sums in hour order, and ValidationError names the first
+    hour (first_hour + t) at which a total is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ld, ren, ch, dis = np.array([load, renewable, p_ch, p_dis], dtype=float)
+        backup = backup_of(ld, ren, dis - ch)
+        used = ld + ch - dis - backup
+        curtailed = np.maximum(0.0, ren - used)
+        battery = cp.c_bat * np.asarray(billed_discharge, dtype=float) * bp.dt
+        diesel = cp.c_backup * backup * bp.dt
+        penalty = soc_penalty(cp, bp, np.asarray(soc_next, dtype=float))
+        totals = []
+        for what, unit, hourly in (("cost", "", battery + diesel + penalty),
+                                   ("backup", " kWh", backup * bp.dt),
+                                   ("curtailment", " kWh", curtailed * bp.dt)):
+            running = np.add.accumulate(hourly)
+            totals.append(float(running[-1]) if running.size else 0.0)
+            if not np.isfinite(totals[-1]):  # a NaN or inf stays in every later sum
+                t = int(np.argmin(np.isfinite(running)))
+                raise ValidationError(
+                    f"hour {first_hour + t}: booking its {what} {float(hourly[t])}{unit} "
+                    f"makes the run's total {what} {float(running[t])}{unit}, which is "
+                    "not finite")
+    costs = map(CostBreakdown, battery.tolist(), diesel.tolist(), penalty.tolist())
+    records = tuple(map(HourRecord, range(first_hour, first_hour + len(ch)), load,
+                        renewable, used.tolist(), p_ch, p_dis, backup.tolist(),
+                        curtailed.tolist(), soc, costs))
+    return records, *totals

@@ -126,9 +126,14 @@ class SyntheticProfile:
 
     def __post_init__(self):
         check_finite_fields(self)
-        if self.wind_jitter_ms < 0:
-            raise NegativeValue(
-                f"SyntheticProfile.wind_jitter_ms must be >= 0, got {self.wind_jitter_ms}")
+        for name in ("base_load_kw", "bump_load_kw", "irradiance_peak", "wind_base_ms",
+                     "wind_jitter_ms"):
+            if (v := getattr(self, name)) < 0:
+                raise NegativeValue(f"SyntheticProfile.{name} must be >= 0, got {v}")
+        if not 0 <= self.bump_start_hour <= self.bump_end_hour <= 24:
+            raise ValidationError(
+                "SyntheticProfile needs 0 <= bump_start_hour <= bump_end_hour <= 24, "
+                f"got ({self.bump_start_hour}, {self.bump_end_hour})")
 
 
 def generate_synthetic(days: int, profile: SyntheticProfile | None = None,

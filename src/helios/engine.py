@@ -4,15 +4,13 @@ The engine predicts renewable power once over the scenario. Each hour it
 asks the configured strategy for an action (rules net their intents for the
 current hour; optimizers solve the N-step window against its slice of the
 forecast and yield the first action; myopic_mpc's window is the hour alone,
-as its greedy first action reads nothing later). One plant step books the
-hour: clip_feasible applies every limit of the plant, step_flows resolves
-the applied action into bus flows, step_soc steps the battery and step_cost
-bills it. The trajectory is recorded as a DispatchTrace.
+as its greedy first action reads nothing later). The hour loop only steps
+the plant (clip_feasible, step_soc); then costing.book_run books every hour's
+flows and bill in one vector pass, the records of the DispatchTrace.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +19,7 @@ from .baselines import RULE_BASED, StrategyKind, rule_step
 from .battery import clip_feasible, step_soc
 from .config import Config
 from .core import ControlAction, Scenario, ValidationError
-from .costing import CostBreakdown, step_cost, step_flows
+from .costing import HourRecord, book_run
 from .evo import aco_solve, eg_solve
 from .horizon import HorizonProblem, build_lattice, solve_exact, solve_myopic
 # predict stays in this namespace for callers that patch helios.engine.predict.
@@ -29,22 +27,6 @@ from .renewable import predict, predict_series  # noqa: F401
 
 # Stride between per-window seeds within one closed-loop run.
 _WINDOW_SEED_STRIDE = 1_000_003
-
-
-@dataclass(frozen=True)
-class HourRecord:
-    """Applied flows, state and cost of one simulated hour."""
-
-    hour: int
-    load: float                 # kW
-    renewable_available: float  # kW
-    renewable_used: float       # kW
-    p_ch: float                 # kW
-    p_dis: float                # kW
-    backup: float               # kW
-    curtailed: float            # kW
-    soc: float                  # kWh, end of hour
-    cost: CostBreakdown
 
 
 @dataclass(frozen=True)
@@ -65,7 +47,7 @@ class DispatchTrace:
 
 
 def _derive_window_seed(run_seed: int, t: int) -> int:
-    return (run_seed + _WINDOW_SEED_STRIDE * (t + 1)) & 0x7FFFFFFFFFFFFFFF
+    return (run_seed + _WINDOW_SEED_STRIDE * (t + 1)) % 2**64  # as noise seeds wrap
 
 
 def _window_problem(cfg: Config, scenario: Scenario, t: int, horizon: int,
@@ -126,14 +108,9 @@ def run_closed_loop(scenario: Scenario, strategy: StrategyKind, cfg: Config,
     horizon = 1 if strategy is StrategyKind.MYOPIC_MPC else cfg.horizon
 
     soc = cfg.initial_soc
-    records: list[HourRecord] = []
+    p_ch, p_dis, billed_dis, soc_next, socs = [], [], [], [], []
     convergence: list[tuple[int, tuple[float, ...]]] = []
-    total_cost = 0.0
-    total_backup = 0.0
-    total_curtailed = 0.0
-    for t in range(scenario.steps):
-        load = scenario.load[t]
-        renewable = forecast[t]
+    for t, (load, renewable) in enumerate(zip(scenario.load, forecast)):
         if rule_based:
             # Rules are billed for the gross discharge they asked for.
             action, billed = rule_step(strategy, bp, soc, load, renewable)
@@ -144,34 +121,22 @@ def run_closed_loop(scenario: Scenario, strategy: StrategyKind, cfg: Config,
                 strategy, cfg, hp, _derive_window_seed(run_seed, t))
             if window_trace:
                 convergence.append((scenario.start_hour + t, window_trace))
-            billed = None  # step_cost bills the applied discharge
 
         applied = clip_feasible(bp, soc, action, load, renewable,
                                 cfg.allow_backup_charging)
-        flows = step_flows(load, renewable, applied)
-        soc_next = step_soc(bp, soc, applied)
-        cost = step_cost(cfg.costs, bp, load, renewable, applied, soc_next,
-                         billed_discharge=billed)
+        nxt = step_soc(bp, soc, applied)
         # clip_feasible keeps applied transitions inside the band; the clamp
         # only swallows float residue at the boundaries.
-        soc = min(max(soc_next, bp.soc_min), bp.soc_max)
-        records.append(HourRecord(
-            hour=scenario.start_hour + t, load=load,
-            renewable_available=renewable, renewable_used=flows.renewable_used,
-            p_ch=applied.p_ch, p_dis=applied.p_dis, backup=flows.backup,
-            curtailed=flows.curtailed, soc=soc, cost=cost))
-        total_cost += cost.total
-        if not math.isfinite(total_cost):
-            raise ValidationError(
-                f"hour {scenario.start_hour + t}: booking its cost {cost.total} "
-                f"makes the run's total cost {total_cost}, which is not finite")
-        total_backup += flows.backup * bp.dt
-        total_curtailed += flows.curtailed * bp.dt
+        soc = min(max(nxt, bp.soc_min), bp.soc_max)
+        p_ch.append(applied.p_ch)
+        p_dis.append(applied.p_dis)
+        billed_dis.append(billed if rule_based else applied.p_dis)
+        soc_next.append(nxt)
+        socs.append(soc)
 
-    return DispatchTrace(strategy=strategy, soc_start=cfg.initial_soc,
-                         records=tuple(records), total_cost=total_cost,
-                         total_backup_kwh=total_backup,
-                         total_curtailed_kwh=total_curtailed,
+    records, *totals = book_run(cfg.costs, bp, scenario.start_hour, scenario.load,
+                                forecast, p_ch, p_dis, billed_dis, soc_next, socs)
+    return DispatchTrace(strategy, cfg.initial_soc, records, *totals,
                          convergence=tuple(convergence))
 
 

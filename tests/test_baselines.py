@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from helios.baselines import StrategyKind, rule_step
-from helios.battery import clip_feasible
+from helios.battery import clip_feasible, step_soc
 from helios.core import ValidationError
+from helios.costing import book_run
 
 RF = StrategyKind.RENEWABLE_FIRST
 BF = StrategyKind.BATTERY_FIRST
@@ -40,17 +41,24 @@ class TestRenewableFirst:
     def test_dead_calm_zero_load_idles(self, battery):
         assert act(RF, battery, 500.0, 0.0, 0.0).is_idle
 
-    def test_never_discharges_while_curtailing(self, battery):
-        from helios.costing import step_flows
+    def test_never_discharges_while_curtailing(self, battery, costs):
         rng = np.random.default_rng(4)
+        loads, rens, applied, soc_next = [], [], [], []
         for _ in range(300):
             load = float(rng.uniform(0, 400))
             ren = float(rng.uniform(0, 400))
             soc = float(rng.uniform(100, 900))
             a = clip_feasible(battery, soc, act(RF, battery, soc, load, ren),
                               load, ren)
-            f = step_flows(load, ren, a)
-            assert not (a.p_dis > 1e-9 and f.curtailed > 1e-9)
+            loads.append(load)
+            rens.append(ren)
+            applied.append(a)
+            soc_next.append(step_soc(battery, soc, a))
+        p_dis = [a.p_dis for a in applied]
+        records, *_ = book_run(costs, battery, 0, loads, rens, [a.p_ch for a in applied],
+                               p_dis, p_dis, soc_next, soc_next)
+        for r in records:
+            assert not (r.p_dis > 1e-9 and r.curtailed > 1e-9)
 
 
 class TestBatteryFirst:

@@ -6,7 +6,7 @@ import pytest
 from helios.battery import (clip_feasible, max_charge_kw, max_discharge_kw,
                             soc_after, step_soc)
 from helios.core import ControlAction
-from helios.costing import step_flows
+from helios.costing import book_run
 
 
 def test_charge_step(battery):
@@ -86,12 +86,15 @@ class TestClipFeasible:
                                 allow_backup_charging=True)
         assert clipped.p_ch == 300.0
 
-    def test_discharge_capped_at_load(self, battery):
+    def test_discharge_capped_at_load(self, battery, costs):
         # no dump load: discharge beyond the load has nowhere to go
         clipped = clip_feasible(battery, 500.0, ControlAction(p_dis=100.0),
                                 load=60.0, renewable=0.0)
         assert clipped.p_dis == 60.0
-        assert step_flows(60.0, 0.0, clipped).backup == 0.0
+        soc_next = step_soc(battery, 500.0, clipped)
+        (r,), *_ = book_run(costs, battery, 0, [60.0], [0.0], [clipped.p_ch],
+                            [clipped.p_dis], [clipped.p_dis], [soc_next], [soc_next])
+        assert (r.backup, r.curtailed) == (0.0, 0.0)
 
     def test_random_actions_always_land_in_bounds(self, battery):
         rng = np.random.default_rng(11)

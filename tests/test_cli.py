@@ -251,6 +251,18 @@ def test_overflowing_load_in_csv_exits_1(tmp_path, capsys):
         assert "finite" in capsys.readouterr().err
 
 
+def test_overflowing_backup_total_exits_1_naming_the_hour(tmp_path, capsys):
+    # Two hours of 1.7e308 kW cost a finite 1.02e308, but their backup
+    # energy overflows, and the run is refused rather than reported as inf.
+    csv = tmp_path / "s.csv"
+    csv.write_text("hour,irradiance_kwh_m2,wind_ms,load_kw\n"
+                   "0,0.0,8.0,1.7e308\n1,0.0,8.0,1.7e308\n")
+    assert cli_main(["simulate", "--strategy", "renewable_first", "--data", str(csv),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+    assert "hour 1: booking its backup" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("setting,field", [
     ("horizon_steps=0", "Config.horizon"),
     ("forecast_noise_kw=-1", "Config.forecast_noise_kw"),
@@ -287,6 +299,8 @@ def test_non_finite_set_of_every_float_key_exits_1_naming_the_field(tmp_path, ca
     ("--wind-jitter", "nan", "SyntheticProfile.wind_jitter_ms must be finite"),
     ("--wind-jitter", "inf", "SyntheticProfile.wind_jitter_ms must be finite"),
     ("--wind-jitter", "-1", "SyntheticProfile.wind_jitter_ms must be >= 0"),
+    ("--wind-base", "-3", "SyntheticProfile.wind_base_ms must be >= 0"),
+    ("--bump-start", "30", "0 <= bump_start_hour <= bump_end_hour <= 24"),
 ])
 def test_bad_profile_option_exits_1_naming_the_field(tmp_path, capsys, flag, value,
                                                      message):

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_optimum, make_problem
 from helios.core import (BatteryParams, ControlAction, CostParams, LengthMismatch,
-                         NegativeValue)
-from helios.battery import clip_feasible, soc_after
-from helios.costing import (CostBreakdown, backup_power, sequence_cost,
-                            soc_penalty, stage_base, step_cost, step_flows)
+                         NegativeValue, ValidationError)
+from helios.battery import clip_feasible, soc_after, step_soc
+from helios.costing import (CostBreakdown, backup_power, book_run, sequence_cost,
+                            soc_penalty, stage_base, step_cost)
 from helios.horizon import build_lattice, solve_exact
 
 REFERENCE_BATTERY = BatteryParams(capacity=1000.0, soc_min=100.0, soc_max=900.0,
@@ -95,9 +95,22 @@ class TestStepCost:
                                           float(s_next)).total
 
 
+def book(cp, bp, loads, rens, actions, billed=None, soc0=500.0):
+    """book_run over hours that apply `actions` in turn from soc0."""
+    soc_next, socs, soc = [], [], soc0
+    for a in actions:
+        soc_next.append(step_soc(bp, soc, a))
+        soc = min(max(soc_next[-1], bp.soc_min), bp.soc_max)
+        socs.append(soc)
+    billed = [a.p_dis for a in actions] if billed is None else billed
+    return book_run(cp, bp, 0, loads, rens, [a.p_ch for a in actions],
+                    [a.p_dis for a in actions], billed, soc_next, socs)
+
+
 class TestStepFlows:
-    def test_balance_holds_exactly(self, battery):
+    def test_balance_holds_exactly(self, costs, battery):
         rng = np.random.default_rng(2)
+        loads, rens, actions = [], [], []
         for _ in range(1000):
             load = float(rng.uniform(0, 500))
             ren = float(rng.uniform(0, 400))
@@ -106,21 +119,81 @@ class TestStepFlows:
                 a = ControlAction(p_ch=float(rng.uniform(0, 300)))
             else:
                 a = ControlAction(p_dis=float(rng.uniform(0, 150)))
-            a = clip_feasible(battery, soc, a, load, ren,
-                              allow_backup_charging=bool(rng.random() < 0.3))
-            f = step_flows(load, ren, a)
-            assert abs(f.renewable_used + a.p_dis + f.backup - a.p_ch - load) < 1e-9
-            assert f.renewable_used + f.curtailed == pytest.approx(ren, abs=1e-9)
-            for v in (f.renewable_used, f.backup, f.curtailed):
+            loads.append(load)
+            rens.append(ren)
+            actions.append(clip_feasible(battery, soc, a, load, ren,
+                                         allow_backup_charging=bool(rng.random() < 0.3)))
+        records, *_ = book(costs, battery, loads, rens, actions)
+        for r, a in zip(records, actions):
+            assert abs(r.renewable_used + r.p_dis + r.backup - r.p_ch - r.load) < 1e-9
+            assert r.renewable_used + r.curtailed == pytest.approx(
+                r.renewable_available, abs=1e-9)
+            for v in (r.renewable_used, r.backup, r.curtailed):
                 assert v >= 0.0
             # diesel never burns while renewables are thrown away
-            assert not (f.backup > 1e-9 and f.curtailed > 1e-9)
-            assert f.backup == backup_power(load, ren, a)
+            assert not (r.backup > 1e-9 and r.curtailed > 1e-9)
+            assert r.backup == backup_power(r.load, r.renewable_available, a)
 
-    def test_surplus_is_curtailed_when_not_stored(self):
-        f = step_flows(100.0, 300.0, ControlAction())
-        assert f.curtailed == pytest.approx(200.0)
-        assert f.backup == 0.0
+    def test_surplus_is_curtailed_when_not_stored(self, costs, battery):
+        (r,), *_ = book(costs, battery, [100.0], [300.0], [ControlAction()])
+        assert r.curtailed == pytest.approx(200.0)
+        assert r.backup == 0.0
+
+
+class TestBookRun:
+    def test_every_value_is_a_python_float(self, costs, battery):
+        records, *totals = book(costs, battery, [300.0, 100.0], [100.0, 250.0],
+                                [ControlAction(p_dis=80.0), ControlAction(p_ch=150.0)])
+        for r in records:
+            values = [getattr(r, f) for f in ("load", "renewable_available",
+                                              "renewable_used", "p_ch", "p_dis",
+                                              "backup", "curtailed", "soc")]
+            values += [r.cost.battery, r.cost.backup, r.cost.penalty, r.cost.total]
+            assert all(type(v) is float for v in values)
+        assert [r.hour for r in records] == [0, 1]
+        assert all(type(v) is float for v in totals)
+
+    def test_hours_and_totals_match_step_cost_bit_for_bit(self, battery):
+        rng = np.random.default_rng(31)
+        cp = CostParams(c_bat=0.07, c_backup=0.4, q_under=12.0, r_over=9.0)
+        loads = [float(x) for x in rng.uniform(0, 500, 200)]
+        rens = [float(x) for x in rng.uniform(0, 600, 200)]
+        actions = [ControlAction(p_ch=float(x)) if x >= 0 else ControlAction(p_dis=float(-x))
+                   for x in rng.uniform(-200, 400, 200)]
+        billed = [a.p_dis + float(x) for a, x in zip(actions, rng.uniform(0, 50, 200))]
+        # Starting low, unclipped actions leave the SOC band on both sides.
+        records, total_cost, total_backup, _ = book(cp, battery, loads, rens, actions,
+                                                    billed, soc0=150.0)
+        soc, cost_sum, backup_sum = 150.0, 0.0, 0.0
+        for r, a, dis in zip(records, actions, billed):
+            cb = step_cost(cp, battery, r.load, r.renewable_available, a,
+                           step_soc(battery, soc, a), billed_discharge=dis)
+            assert r.cost == cb
+            assert r.backup == backup_power(r.load, r.renewable_available, a)
+            cost_sum += cb.total
+            backup_sum += r.backup * battery.dt
+            soc = r.soc
+        assert any(r.cost.penalty > 0 for r in records)
+        assert (total_cost, total_backup) == (cost_sum, backup_sum)
+
+    def test_an_empty_run_books_nothing(self, costs, battery):
+        assert book(costs, battery, [], [], []) == ((), 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("what,loads,rens,hour", [
+        # 0.3 per kWh of 1.7e308 kW is finite; the cost sum overflows at hour 5
+        ("cost", [1.0, 1.0] + [1.7e308] * 4, [0.0] * 6, 5),
+        # 2 x 1.7e308 kWh of backup overflows while the cost stays finite
+        ("backup", [1.0, 1.7e308, 1.7e308, 1.0], [0.0] * 4, 2),
+        ("curtailment", [0.0] * 4, [1.0, 1.0, 1.7e308, 1.7e308], 3),
+    ])
+    def test_a_run_total_that_is_not_finite_is_refused_naming_the_hour(
+            self, costs, battery, what, loads, rens, hour):
+        n = len(loads)
+        with pytest.raises(ValidationError,
+                           match=f"hour {10 + hour}: booking its {what} .* makes the "
+                                 f"run's total {what} inf"):
+            book_run(costs, battery, 10, loads, rens, [0.0] * n, [0.0] * n, [0.0] * n,
+                     [500.0] * n, [500.0] * n)
 
 
 class TestSequenceCost:

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_problem
-from helios.baselines import StrategyKind
-from helios.battery import clip_feasible
+from helios.baselines import RULE_BASED, StrategyKind, rule_step
+from helios.battery import clip_feasible, step_soc
 from helios.config import Config, load_config, parse_config_text
 from helios.core import (BatteryParams, ControlAction, CostParams, Scenario,
                          ValidationError)
+from helios.costing import backup_power, step_cost
 from helios.data import SyntheticProfile, generate_synthetic
 from helios.engine import compare_strategies, run_closed_loop
 from helios.horizon import build_lattice, solve_exact
@@ -124,6 +125,24 @@ class TestRunClosedLoop:
         negative = run_closed_loop(reference_scenario(), kind, cfg, seed=-1)
         assert negative == run_closed_loop(reference_scenario(), kind, cfg, seed=2**64 - 1)
         check_trace_invariants(negative, cfg)
+
+    def test_window_seeds_wrap_at_2_64(self, monkeypatch):
+        import helios.engine
+        cfg = parse_config_text(
+            "horizon_steps = 3\nevo_population = 8\nevo_generations = 4\n"
+            "evo_local_search_budget = 5\naco_ants = 4\naco_iterations = 4\n",
+            base=Config())
+        scenario = reference_scenario().window(0, 6)
+        five = {}
+        for kind in (StrategyKind.EG_MPC, StrategyKind.AC_MPC):
+            five[kind] = run_closed_loop(scenario, kind, cfg, seed=5)
+            assert five[kind] != run_closed_loop(scenario, kind, cfg, seed=5 + 2**63)
+            assert five[kind] == run_closed_loop(scenario, kind, cfg, seed=5 + 2**64)
+        # Below 2**63 the window seeds are those of the old 63-bit mask.
+        monkeypatch.setattr(helios.engine, "_derive_window_seed",
+                            lambda seed, t: (seed + 1_000_003 * (t + 1)) & (2**63 - 1))
+        for kind, trace in five.items():
+            assert run_closed_loop(scenario, kind, cfg, seed=5) == trace
 
     @pytest.mark.parametrize("noise", [0.0, 30.0])
     def test_renewables_are_predicted_once_per_run(self, monkeypatch, noise):
@@ -310,3 +329,34 @@ def test_every_strategy_keeps_the_plant_step_invariants(case):
     scenario, cfg, seed = case
     for kind in StrategyKind:
         check_trace_invariants(run_closed_loop(scenario, kind, cfg, seed=seed), cfg)
+
+
+@settings(max_examples=10, deadline=None)
+@given(case=closed_loop_cases())
+def test_every_hour_is_billed_as_the_scalar_step_cost(case):
+    # The engine bills a run in one vector pass; the scalar step_cost and
+    # backup_power, fed each hour's applied action, billed discharge and
+    # previous SOC, must give every cost component, flow and total bit for bit.
+    scenario, cfg, seed = case
+    bp, cp = cfg.battery, cfg.costs
+    for kind in StrategyKind:
+        trace = run_closed_loop(scenario, kind, cfg, seed=seed)
+        soc = trace.soc_start
+        total_cost = total_backup = total_curtailed = 0.0
+        for r in trace.records:
+            applied = ControlAction(p_ch=r.p_ch, p_dis=r.p_dis)
+            billed = (rule_step(kind, bp, soc, r.load, r.renewable_available)
+                      .billed_discharge if kind in RULE_BASED else None)
+            cost = step_cost(cp, bp, r.load, r.renewable_available, applied,
+                             step_soc(bp, soc, applied), billed_discharge=billed)
+            assert r.cost == cost
+            backup = backup_power(r.load, r.renewable_available, applied)
+            used = r.load + r.p_ch - r.p_dis - backup
+            assert (r.backup, r.renewable_used, r.curtailed) == (
+                backup, used, max(0.0, r.renewable_available - used))
+            total_cost += cost.total
+            total_backup += backup * bp.dt
+            total_curtailed += r.curtailed * bp.dt
+            soc = r.soc
+        assert (trace.total_cost, trace.total_backup_kwh, trace.total_curtailed_kwh) == (
+            total_cost, total_backup, total_curtailed)

@@ -137,6 +137,24 @@ class TestGenerateSynthetic:
         with pytest.raises(NegativeValue, match="wind_jitter_ms must be >= 0"):
             SyntheticProfile(wind_jitter_ms=-0.5)
 
+    @pytest.mark.parametrize("field", ["base_load_kw", "bump_load_kw", "irradiance_peak",
+                                       "wind_base_ms"])
+    def test_negative_profile_fields_are_refused(self, field):
+        with pytest.raises(NegativeValue, match=f"{field} must be >= 0, got -3"):
+            SyntheticProfile(**{field: -3.0})
+
+    @pytest.mark.parametrize("start,end", [(30, -5), (-1, 8), (8, 25), (12, 11)])
+    def test_bump_hours_outside_the_day_are_refused(self, start, end):
+        with pytest.raises(ValidationError, match="0 <= bump_start_hour <= bump_end_hour"):
+            SyntheticProfile(bump_start_hour=start, bump_end_hour=end)
+
+    @pytest.mark.parametrize("start,end", [(0, 24), (5, 5), (0, 0), (24, 24)])
+    def test_bump_hours_at_the_day_boundaries_are_accepted(self, start, end):
+        s = generate_synthetic(days=1, profile=SyntheticProfile(
+            base_load_kw=100.0, bump_load_kw=50.0, bump_start_hour=start,
+            bump_end_hour=end))
+        assert s.load == tuple(150.0 if start <= h < end else 100.0 for h in range(24))
+
     def test_load_bump_window(self):
         p = SyntheticProfile(base_load_kw=100.0, bump_load_kw=50.0,
                              bump_start_hour=10, bump_end_hour=14)
