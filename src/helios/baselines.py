@@ -12,7 +12,6 @@ strategy.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
 
 from .battery import max_discharge_kw
 from .core import BatteryParams, ControlAction, ValidationError
@@ -37,13 +36,6 @@ class StrategyKind(enum.Enum):
             valid = ", ".join(k.value for k in cls)
             raise ValidationError(
                 f"unknown strategy '{name}' (valid: {valid})") from None
-
-
-class PolicyDecision(NamedTuple):
-    """A rule's net action plus the gross discharge it should be billed for."""
-
-    action: ControlAction
-    billed_discharge: float  # kW
 
 
 def _renewable_first(p: BatteryParams, soc: float, load: float,
@@ -95,12 +87,13 @@ RULE_BASED = tuple(_RULES)
 
 
 def rule_step(kind: StrategyKind, p: BatteryParams, soc: float, load: float,
-              renewable: float) -> PolicyDecision:
-    """One rule's intents netted into one unclipped action and its bill."""
+              renewable: float) -> tuple[ControlAction, float]:
+    """One rule's intents netted into one unclipped action, paired with the
+    gross discharge in kW it is billed for: (action, billed_discharge)."""
     rule = _RULES.get(kind)
     if rule is None:
         raise ValidationError(f"{kind} is not a rule-based strategy")
     gross_ch, gross_dis = rule(p, soc, load, renewable)
     net = gross_ch - gross_dis
     action = ControlAction(p_ch=net) if net >= 0 else ControlAction(p_dis=-net)
-    return PolicyDecision(action=action, billed_discharge=gross_dis)
+    return action, gross_dis

@@ -16,9 +16,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .baselines import StrategyKind
-from .config import Config, load_config, parse_config_text
+from .config import Config, config_to_text, load_config, parse_config_text
 from .core import BudgetExceeded, HeliosError, ParseError, ValidationError
 from .data import (SyntheticProfile, generate_synthetic, load_fit_samples,
                    load_hourly_csv, write_scenario_csv)
@@ -28,6 +29,12 @@ from .renewable import DEFAULT_P_RATED, fit
 TRACE_HEADER = ("hour,load_kw,renewable_kw,renewable_used_kw,p_ch_kw,p_dis_kw,"
                 "backup_kw,curtailed_kw,soc_kwh,cost_battery,cost_backup,"
                 "cost_penalty,cost_total")
+
+# SyntheticProfile field -> generate-data flag, typed and defaulted by SyntheticProfile().
+_PROFILE_FLAGS = {"base_load_kw": "--base-load", "bump_load_kw": "--bump-load",
+                  "bump_start_hour": "--bump-start", "bump_end_hour": "--bump-end",
+                  "irradiance_peak": "--irr-peak", "wind_base_ms": "--wind-base",
+                  "wind_jitter_ms": "--wind-jitter"}
 
 
 class _UsageError(Exception):
@@ -50,13 +57,11 @@ def _build_parser() -> _Parser:
     gen.add_argument("--days", type=int, default=1)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--base-load", type=float, default=150.0)
-    gen.add_argument("--bump-load", type=float, default=250.0)
-    gen.add_argument("--bump-start", type=int, default=8)
-    gen.add_argument("--bump-end", type=int, default=18)
-    gen.add_argument("--irr-peak", type=float, default=1.0)
-    gen.add_argument("--wind-base", type=float, default=8.0)
-    gen.add_argument("--wind-jitter", type=float, default=0.0)
+    profile = SyntheticProfile()
+    for name, flag in _PROFILE_FLAGS.items():
+        default = getattr(profile, name)
+        gen.add_argument(flag, dest=name, type=type(default), default=default,
+                         metavar=flag[2:].replace("-", "_").upper())
     gen.add_argument("--with-renewable", action="store_true",
                      help="append a renewable_kw column from the default model")
 
@@ -152,11 +157,7 @@ def _summary_pairs(trace: DispatchTrace, seed: int) -> list[tuple[str, str]]:
 
 
 def _cmd_generate_data(args) -> int:
-    profile = SyntheticProfile(
-        base_load_kw=args.base_load, bump_load_kw=args.bump_load,
-        bump_start_hour=args.bump_start, bump_end_hour=args.bump_end,
-        irradiance_peak=args.irr_peak, wind_base_ms=args.wind_base,
-        wind_jitter_ms=args.wind_jitter)
+    profile = SyntheticProfile(**{name: getattr(args, name) for name in _PROFILE_FLAGS})
     scenario = generate_synthetic(days=args.days, profile=profile,
                                   seed=args.seed)
     model = Config().renewable if args.with_renewable else None
@@ -168,14 +169,9 @@ def _cmd_generate_data(args) -> int:
 def _cmd_fit(args) -> int:
     samples = load_fit_samples(args.csv)
     model = fit(samples, p_rated=args.p_rated)
-    fragment = "\n".join([
-        "# fitted renewable model",
-        f"renewable_a1 = {model.a1!r}",
-        f"renewable_a2 = {model.a2!r}",
-        f"renewable_a3 = {model.a3!r}",
-        f"renewable_a4 = {model.a4!r}",
-        f"renewable_p_rated_kw = {model.p_rated!r}",
-    ]) + "\n"
+    lines = config_to_text(replace(Config(), renewable=model)).splitlines()
+    fragment = "\n".join(["# fitted renewable model"]
+                         + [line for line in lines if line.startswith("renewable_")]) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(fragment)

@@ -52,6 +52,7 @@ class Config:
         check_finite_fields(self)
         for name, ok, rule in (("horizon", self.horizon >= 1, ">= 1"),
                                ("forecast_noise_kw", self.forecast_noise_kw >= 0, ">= 0"),
+                               ("terminal_soc_value", self.terminal_soc_value >= 0, ">= 0"),
                                ("soc_grid_step", self.soc_grid_step > 0, "> 0"),
                                ("delta_p", self.delta_p > 0, "> 0")):
             if not ok:

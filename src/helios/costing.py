@@ -8,16 +8,16 @@ Per-step cost has three components:
 where soc' is the unclamped next SOC. The horizon cost J(u) simulates the
 unclamped dynamics forward and sums step costs; an optional terminal term
 terminal_soc_value * (soc_max - soc_N) rewards plans that end with energy in
-the battery (zero by default, and always >= 0 so search methods that weight
-by 1/J stay well defined).
+the battery (zero by default; Config refuses a negative weight, which would
+charge for stored energy instead of crediting it).
 
 book_run books a closed-loop run in one vector pass: every hour's flows and
 bill, by backup_of (stage_base_of's backup formula) and soc_penalty, and the
 run's totals. The scalar backup_power and step_cost bill one hour by the same
 formulas and sequence_cost sums step_cost: they are the tests' reference.
-The vector step cost is stage_base (battery + backup, per step and action:
-stage_base_of over action_terms, which HorizonProblem keeps once per run)
-plus soc_penalty (per next SOC). sequence_costs_batch prices rows of lattice
+The vector step cost is stage_base_of (battery + backup, per step and action,
+from the action_terms that HorizonProblem keeps once per run) plus
+soc_penalty (per next SOC). sequence_costs_batch prices rows of lattice
 indices from a window's tables, bit for bit sequence_cost: actions are
 exclusive, so soc + soc_after(bp, 0.0, ...) == soc_after(bp, soc, ...), and
 the SOC path and the total are sequential sums along the steps.
@@ -103,7 +103,7 @@ def sequence_costs_batch(cp: CostParams, bp: BatteryParams, base_costs: np.ndarr
                          soc_steps: np.ndarray, soc0: float, idx: np.ndarray,
                          terminal_soc_value: float = 0.0) -> np.ndarray:
     """J of each row of idx, (n_sequences, n_steps) lattice indices, from the
-    window's (n_steps, n_actions) stage_base table and each action's SOC step.
+    window's (n_steps, n_actions) stage_base_of table and each action's SOC step.
 
     Summed in step order, as np.cumsum along each row would: the SOC path
     from soc0, then the step costs, then the terminal term."""
@@ -123,21 +123,15 @@ def sequence_costs_batch(cp: CostParams, bp: BatteryParams, base_costs: np.ndarr
     return total
 
 
-def stage_base(cp: CostParams, bp: BatteryParams, load, renewable, p_ch, p_dis):
-    """Battery + backup part of the step cost, over broadcasting arrays of
-    exclusive actions: stage_base_of(action_terms(...))."""
-    return stage_base_of(cp, bp, load, renewable, *action_terms(cp, bp, p_ch, p_dis))
-
-
 def action_terms(cp: CostParams, bp: BatteryParams, p_ch, p_dis):
-    """stage_base's terms of the action alone: cycling cost c_bat * p_dis * dt
-    and net battery power p_dis - p_ch. Actions are exclusive, so
+    """stage_base_of's terms of exclusive actions alone, over broadcasting
+    arrays: cycling cost c_bat * p_dis * dt and net battery power p_dis - p_ch;
     renewable + (p_dis - p_ch) == (renewable + p_dis) - p_ch bit for bit."""
     return cp.c_bat * p_dis * bp.dt, p_dis - p_ch
 
 
 def stage_base_of(cp: CostParams, bp: BatteryParams, load, renewable, cycling, net):
-    """stage_base from action_terms: cycling + c_backup * backup power * dt."""
+    """Battery + backup step cost from action_terms: cycling + c_backup * backup * dt."""
     return cycling + cp.c_backup * backup_of(load, renewable, net) * bp.dt
 
 

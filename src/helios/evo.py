@@ -49,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LengthMismatch, ValidationError, check_finite_fields
-from .horizon import (ActionLattice, CandidateSequence, HorizonProblem,
+from .core import BudgetExceeded, LengthMismatch, ValidationError, check_finite_fields
+from .horizon import (MAX_SEARCH_TABLE, ActionLattice, CandidateSequence, HorizonProblem,
                       sequence_from_indices)
 
 _EG_BLOCK = 16384   # float64 draws in a block of generations: 128 KB
@@ -248,9 +248,12 @@ def eg_solve(hp: HorizonProblem, ep: EvoParams
     Returns the best-ever sequence, its cost, and the per-generation
     best-cost trace (monotone nonincreasing by elitism).
     """
+    n, n_actions = hp.n_steps, len(hp.lattice)
+    if ep.population * n > MAX_SEARCH_TABLE:
+        raise BudgetExceeded(f"EG population {ep.population} x {n} steps exceeds "
+                             f"{MAX_SEARCH_TABLE} cells")
     hp.require_feasible()
     rng = np.random.default_rng(ep.seed)
-    n, n_actions = hp.n_steps, len(hp.lattice)
     m, elite = ep.population, ep.elite
     n_children = m - elite
     n_pairs = (n_children + 1) // 2
@@ -342,9 +345,12 @@ def aco_solve(hp: HorizonProblem, ap: AcoParams
     step; an ant takes the first action whose cumsum reaches its draw times
     the row total (uniform when every weight is 0).
     """
+    n, n_actions = hp.n_steps, len(hp.lattice)
+    if ap.ants * max(n, n_actions) > MAX_SEARCH_TABLE:  # paths and per-step weights
+        raise BudgetExceeded(f"ACO colony {ap.ants} x {max(n, n_actions)} steps or "
+                             f"actions exceeds {MAX_SEARCH_TABLE} cells")
     hp.require_feasible()
     rng = np.random.default_rng(ap.seed)
-    n, n_actions = hp.n_steps, len(hp.lattice)
 
     tau = np.full((n, n_actions), ap.pheromone_init, dtype=float)
     best_genome: np.ndarray | None = None

@@ -49,6 +49,7 @@ DEFAULT_SOC_GRID_STEP = 10.0    # kWh
 DEFAULT_MAX_ENUMERATION = 1_000_000   # sequences
 MAX_DP_TABLE = 50_000_000       # grid nodes * steps * actions
 MAX_LATTICE_LEVELS = 100_000    # charge + discharge levels, p_max / delta_p each
+MAX_SEARCH_TABLE = 1_000_000    # EG population * steps, ACO ants * max(steps, actions)
 
 _ENUM_CHUNK = 2048
 _DP_BLOCK = 16384   # cells in a DP stage chunk: 128 KB of float64
@@ -210,7 +211,7 @@ class HorizonProblem:
 
     @cached_property
     def base_costs(self) -> np.ndarray:
-        """costing.stage_base of every (step, action): (n_steps, n_actions)."""
+        """costing.stage_base_of every (step, action): (n_steps, n_actions)."""
         _, cycling, net = self.action_tables
         return stage_base_of(self.costs, self.battery, np.array(self.window.load)[:, None],
                              np.array(self.forecast)[:, None], cycling, net)

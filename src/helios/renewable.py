@@ -8,6 +8,7 @@ combined PV + turbine fleet. Raw predictions can go negative on calm nights
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -94,11 +95,7 @@ def surface(m: RenewableModel, irr_grid, v_grid) -> np.ndarray:
     v_grid = list(v_grid)
     if not irr_grid or not v_grid:
         raise ValidationError("surface grids must be nonempty")
-    out = np.empty((len(irr_grid), len(v_grid)), dtype=float)
-    for i, irr in enumerate(irr_grid):
-        for j, v in enumerate(v_grid):
-            out[i, j] = predict(m, irr, v)
-    return out
+    return np.array([predict_series(m, repeat(irr), v_grid) for irr in irr_grid])
 
 
 def predict_series(m: RenewableModel, irradiance, wind_speed) -> list[float]:

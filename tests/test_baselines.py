@@ -14,7 +14,8 @@ FF = StrategyKind.FIFTY_FIFTY
 
 
 def act(kind, battery, soc, load, renewable):
-    return rule_step(kind, battery, soc, load, renewable).action
+    action, _ = rule_step(kind, battery, soc, load, renewable)
+    return action
 
 
 def test_strategy_parse_round_trip():
@@ -66,11 +67,11 @@ class TestBatteryFirst:
         # load 80 < p_dis_max: the rule wants exactly 80 from the battery
         # regardless of plentiful renewables; netting turns the surplus into
         # a single charge action and billing keeps the gross 80.
-        decision = rule_step(StrategyKind.BATTERY_FIRST, battery, 500.0,
-                             load=80.0, renewable=300.0)
-        assert decision.billed_discharge == pytest.approx(80.0)
-        assert decision.action.p_dis == 0.0
-        assert decision.action.p_ch == pytest.approx(220.0)
+        action, billed = rule_step(StrategyKind.BATTERY_FIRST, battery, 500.0,
+                                   load=80.0, renewable=300.0)
+        assert billed == pytest.approx(80.0)
+        assert action.p_dis == 0.0
+        assert action.p_ch == pytest.approx(220.0)
 
     def test_depleted_battery_behaves_like_renewable_only(self, battery):
         a = act(BF, battery, battery.soc_min, load=300.0, renewable=100.0)
@@ -84,10 +85,10 @@ class TestFiftyFifty:
     def test_even_split_with_ample_battery(self, battery):
         # load 200: renewable serves 100, battery serves 100, surplus stored;
         # netting leaves a single 100 kW charge and bills the 100 kW share.
-        decision = rule_step(StrategyKind.FIFTY_FIFTY, battery, 500.0,
-                             load=200.0, renewable=300.0)
-        assert decision.billed_discharge == pytest.approx(100.0)
-        assert decision.action.p_ch == pytest.approx(100.0)
+        action, billed = rule_step(StrategyKind.FIFTY_FIFTY, battery, 500.0,
+                                   load=200.0, renewable=300.0)
+        assert billed == pytest.approx(100.0)
+        assert action.p_ch == pytest.approx(100.0)
 
     def test_renewable_shortfall_spills_to_battery(self, battery):
         a = act(FF, battery, 500.0, load=200.0, renewable=50.0)
@@ -103,9 +104,9 @@ class TestFiftyFifty:
 def test_rules_state_intent_and_leave_the_limits_to_clip_feasible(battery):
     # 400 kW of surplus against 50 kWh of headroom: the rule asks for all
     # of it, and only the engine's clip_feasible caps it at the headroom
-    decision = rule_step(RF, battery, 850.0, load=100.0, renewable=500.0)
-    assert decision.action.p_ch == 400.0
-    clipped = clip_feasible(battery, 850.0, decision.action, 100.0, 500.0)
+    action, _ = rule_step(RF, battery, 850.0, load=100.0, renewable=500.0)
+    assert action.p_ch == 400.0
+    clipped = clip_feasible(battery, 850.0, action, 100.0, 500.0)
     assert clipped.p_ch == pytest.approx(50.0 / 0.9)
 
 

@@ -3,14 +3,16 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 import helios
-from helios.cli import cli_main
+from helios.cli import _PROFILE_FLAGS, cli_main
 from helios.config import Config, save_config
-from helios.data import load_hourly_csv
-from helios.renewable import DEFAULT_COEFFS
+from helios.data import (SyntheticProfile, generate_synthetic, load_fit_samples,
+                         load_hourly_csv, write_scenario_csv)
+from helios.renewable import DEFAULT_COEFFS, fit
 from test_io import FLOAT_KEYS, field_name
 
 
@@ -89,6 +91,76 @@ def test_fit_recovers_default_coefficients(tmp_path):
     for got, want in zip((fitted.a1, fitted.a2, fitted.a3, fitted.a4),
                          DEFAULT_COEFFS):
         assert got == pytest.approx(want, rel=1e-6)
+
+
+def test_fit_fragment_is_the_five_renewable_keys(tmp_path, capsys):
+    csv, frag = tmp_path / "fit.csv", tmp_path / "renewable.cfg"
+    cli_main(["generate-data", "--days", "2", "--wind-jitter", "2", "--with-renewable",
+              "--out", str(csv)])
+    capsys.readouterr()
+    assert cli_main(["fit", str(csv), "--p-rated", "500", "--out", str(frag)]) == 0
+    m = fit(load_fit_samples(str(csv)), p_rated=500.0)
+    want = ("# fitted renewable model\n"
+            f"renewable_a1 = {m.a1!r}\n"
+            f"renewable_a2 = {m.a2!r}\n"
+            f"renewable_a3 = {m.a3!r}\n"
+            f"renewable_a4 = {m.a4!r}\n"
+            "renewable_p_rated_kw = 500.0\n")
+    assert capsys.readouterr().out == want
+    assert frag.read_bytes() == want.encode()
+
+
+PROFILE_VALUES = {"base_load_kw": 120.5, "bump_load_kw": 200.25, "bump_start_hour": 6,
+                  "bump_end_hour": 20, "irradiance_peak": 0.8, "wind_base_ms": 9.5,
+                  "wind_jitter_ms": 2.5}
+
+
+def test_every_profile_field_has_a_flag():
+    assert set(_PROFILE_FLAGS) == {f.name for f in fields(SyntheticProfile)}
+    assert set(PROFILE_VALUES) == set(_PROFILE_FLAGS)
+    assert all(PROFILE_VALUES[k] != v for k, v in vars(SyntheticProfile()).items())
+
+
+@pytest.mark.parametrize("field", sorted(PROFILE_VALUES))
+def test_profile_flag_sets_its_field(tmp_path, field):
+    value = PROFILE_VALUES[field]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    assert cli_main(["generate-data", "--days", "2", "--seed", "7", "--out", str(got),
+                     _PROFILE_FLAGS[field], str(value)]) == 0
+    write_scenario_csv(str(want), generate_synthetic(
+        2, SyntheticProfile(**{field: value}), seed=7))
+    assert got.read_bytes() == want.read_bytes()
+
+
+GENERATE_DATA_HELP = """\
+usage: helios generate-data [-h] [--days DAYS] [--seed SEED] --out OUT
+                            [--base-load BASE_LOAD] [--bump-load BUMP_LOAD]
+                            [--bump-start BUMP_START] [--bump-end BUMP_END]
+                            [--irr-peak IRR_PEAK] [--wind-base WIND_BASE]
+                            [--wind-jitter WIND_JITTER] [--with-renewable]
+
+options:
+  -h, --help            show this help message and exit
+  --days DAYS
+  --seed SEED
+  --out OUT
+  --base-load BASE_LOAD
+  --bump-load BUMP_LOAD
+  --bump-start BUMP_START
+  --bump-end BUMP_END
+  --irr-peak IRR_PEAK
+  --wind-base WIND_BASE
+  --wind-jitter WIND_JITTER
+  --with-renewable      append a renewable_kw column from the default model
+"""
+
+
+def test_generate_data_help_text(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["generate-data", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == GENERATE_DATA_HELP
 
 
 def test_usage_error_exits_1(capsys):
@@ -187,6 +259,19 @@ def test_budget_exhaustion_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("setting,message", [
+    ("evo_population=166667", "EG population 166667 x 6 steps"),
+    ("aco_ants=43479", "ACO colony 43479 x 23 steps or actions"),
+])
+def test_search_past_budget_exits_2(tmp_path, capsys, setting, message):
+    # One past MAX_SEARCH_TABLE on the default 6 steps and 23 actions.
+    code = cli_main(["compare", "--data", "synthetic", "--strategies", "ac_mpc,eg_mpc",
+                     "--set", setting, "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def run_helios_module(*args):
     """`python -m helios ARGS` in a child process, on this checkout's helios."""
     src = os.path.dirname(os.path.dirname(helios.__file__))
@@ -269,6 +354,7 @@ def test_overflowing_backup_total_exits_1_naming_the_hour(tmp_path, capsys):
     ("soc_grid_step_kwh=0", "Config.soc_grid_step"),
     ("lattice_delta_p_kw=-10", "Config.delta_p"),
     ("terminal_soc_value=nan", "Config.terminal_soc_value"),
+    ("terminal_soc_value=-0.2", "Config.terminal_soc_value must be >= 0"),
     ("forecast_noise_kw=inf", "Config.forecast_noise_kw"),
     ("soc_grid_step_kwh=inf", "Config.soc_grid_step"),
     ("aco_alpha=nan", "AcoParams.alpha"),

@@ -9,8 +9,8 @@ from conftest import brute_force_optimum, make_problem
 from helios.core import (BatteryParams, ControlAction, CostParams, LengthMismatch,
                          NegativeValue, ValidationError)
 from helios.battery import clip_feasible, soc_after, step_soc
-from helios.costing import (CostBreakdown, backup_power, book_run, sequence_cost,
-                            soc_penalty, stage_base, step_cost)
+from helios.costing import (CostBreakdown, action_terms, backup_power, book_run,
+                            sequence_cost, soc_penalty, stage_base_of, step_cost)
 from helios.horizon import build_lattice, solve_exact
 
 REFERENCE_BATTERY = BatteryParams(capacity=1000.0, soc_min=100.0, soc_max=900.0,
@@ -87,7 +87,8 @@ class TestStepCost:
                 ren = float(rng.uniform(0.0, 600.0))
                 soc = float(rng.uniform(-100.0, 1100.0))
                 soc_next = soc_after(battery, soc, p_ch, p_dis)
-                got = (stage_base(cp, battery, load, ren, p_ch, p_dis)
+                got = (stage_base_of(cp, battery, load, ren,
+                                     *action_terms(cp, battery, p_ch, p_dis))
                        + soc_penalty(cp, battery, soc_next))
                 for ch, dis, s_next, g in zip(p_ch, p_dis, soc_next, got):
                     a = ControlAction(p_ch=float(ch), p_dis=float(dis))
@@ -273,7 +274,7 @@ class TestSplitKernel:
         lat = LATTICES[delta]
         bp = REFERENCE_BATTERY
         soc_next = soc_after(bp, soc, lat.p_ch, lat.p_dis)
-        split = (stage_base(cp, bp, load, ren, lat.p_ch, lat.p_dis)
+        split = (stage_base_of(cp, bp, load, ren, *action_terms(cp, bp, lat.p_ch, lat.p_dis))
                  + soc_penalty(cp, bp, soc_next))
         assert split.tolist() == [step_cost(cp, bp, load, ren, a, float(s)).total
                                   for a, s in zip(lat.actions, soc_next)]

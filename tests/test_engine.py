@@ -345,8 +345,8 @@ def test_every_hour_is_billed_as_the_scalar_step_cost(case):
         total_cost = total_backup = total_curtailed = 0.0
         for r in trace.records:
             applied = ControlAction(p_ch=r.p_ch, p_dis=r.p_dis)
-            billed = (rule_step(kind, bp, soc, r.load, r.renewable_available)
-                      .billed_discharge if kind in RULE_BASED else None)
+            billed = (rule_step(kind, bp, soc, r.load, r.renewable_available)[1]
+                      if kind in RULE_BASED else None)
             cost = step_cost(cp, bp, r.load, r.renewable_available, applied,
                              step_soc(bp, soc, applied), billed_discharge=billed)
             assert r.cost == cost

@@ -1,5 +1,6 @@
 """Evolutionary operators, the EG solver, and the ant-colony arm."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,13 +10,14 @@ from hypothesis import strategies as st
 
 import helios.evo
 from conftest import action_indices, make_problem
-from helios.core import ControlAction, CostParams, LengthMismatch, ValidationError
+from helios.core import (BudgetExceeded, ControlAction, CostParams, LengthMismatch,
+                         ValidationError)
 from helios.costing import sequence_cost
 from helios.evo import (AcoParams, EvoParams, _cut_mask, _lhs_indices,
                         _local_search_indices, _mutation_mask, _select, aco_solve,
                         crossover, eg_solve, mutate)
-from helios.horizon import (ActionLattice, CandidateSequence, build_lattice,
-                            sequence_from_indices, solve_exact)
+from helios.horizon import (MAX_SEARCH_TABLE, ActionLattice, CandidateSequence,
+                            build_lattice, sequence_from_indices, solve_exact)
 
 
 def scalar_local_search(hp, genome, cost, budget):
@@ -701,3 +703,37 @@ class TestAcoSolve:
         _, cost, _ = reference_aco(hp, ap)
         _, cost_at_most, _ = reference_aco(hp, ap, below=np.less_equal)
         assert cost > 0.0 and cost_at_most == 0.0
+
+
+class TestSearchBudget:
+    # make_problem's lattice has 9 actions.
+    @pytest.mark.parametrize("solve,params,n_steps,message", [
+        (eg_solve, EvoParams(population=MAX_SEARCH_TABLE // 3 + 1), 3,
+         "EG population 333334 x 3 steps"),
+        (aco_solve, AcoParams(ants=MAX_SEARCH_TABLE // 9 + 1), 3,
+         "ACO colony 111112 x 9 steps or actions"),
+        (aco_solve, AcoParams(ants=MAX_SEARCH_TABLE // 12 + 1), 12,
+         "ACO colony 83334 x 12 steps or actions"),
+    ], ids=["eg", "aco_by_actions", "aco_by_steps"])
+    def test_just_past_the_cap_is_refused_before_allocating(self, solve, params,
+                                                            n_steps, message):
+        hp = make_problem([100.0] * n_steps, [0.0] * n_steps)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match=message):
+                solve(hp, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # EG's two populations alone would be 16 MB
+        assert "base_costs" not in vars(hp)  # refused before the window was priced
+
+    def test_sizes_at_the_cap_run(self, monkeypatch):
+        monkeypatch.setattr(helios.evo, "MAX_SEARCH_TABLE", 63)
+        hp = make_problem([300.0, 100.0, 220.0], [0.0, 90.0, 10.0])
+        eg_solve(hp, EvoParams(population=21, generations=2))  # 21 x 3 steps
+        aco_solve(hp, AcoParams(ants=7, iterations=2))  # 7 x 9 actions
+        with pytest.raises(BudgetExceeded):
+            eg_solve(hp, EvoParams(population=22, generations=2))
+        with pytest.raises(BudgetExceeded):
+            aco_solve(hp, AcoParams(ants=8, iterations=2))
