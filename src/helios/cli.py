@@ -111,7 +111,8 @@ def _load_run_inputs(args):
     for item in args.overrides:
         if "=" not in item:
             raise ParseError(f"--set expects KEY=VALUE, got '{item}'")
-        cfg = parse_config_text(item.replace("=", " = ", 1), base=cfg)
+    # Applied together, so cross-field checks see the whole config.
+    cfg = parse_config_text("\n".join(args.overrides), base=cfg)
     seed = _resolve_seed(args, cfg)
     if args.data == "synthetic":
         scenario = generate_synthetic(days=1)

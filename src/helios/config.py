@@ -47,8 +47,8 @@ class Config:
     seed: int = 42
 
     def __post_init__(self):
-        # Single-field checks only: --set lines are applied one at a time,
-        # so a cross-field check could refuse a valid config halfway through.
+        # Single-field checks only: a caller that replace()s one field at a
+        # time could be refused halfway to a valid config by a cross-field one.
         check_finite_fields(self)
         for name, ok, rule in (("horizon", self.horizon >= 1, ">= 1"),
                                ("forecast_noise_kw", self.forecast_noise_kw >= 0, ">= 0"),

@@ -6,10 +6,10 @@ Per-step cost has three components:
 - penalty:  q_under * max(0, soc_min - soc') + r_over * max(0, soc' - soc_max)
 
 where soc' is the unclamped next SOC. The horizon cost J(u) simulates the
-unclamped dynamics forward and sums step costs; an optional terminal term
-terminal_soc_value * (soc_max - soc_N) rewards plans that end with energy in
-the battery (zero by default; Config refuses a negative weight, which would
-charge for stored energy instead of crediting it).
+unclamped dynamics forward and sums step costs; an optional terminal term,
+terminal_term, credits plans that end with energy in the battery (weight 0
+by default, where it adds nothing; Config refuses a negative weight, which
+would charge for stored energy instead of crediting it).
 
 book_run books a closed-loop run in one vector pass: every hour's flows and
 bill, by backup_of (stage_base_of's backup formula) and soc_penalty, and the
@@ -118,9 +118,16 @@ def sequence_costs_batch(cp: CostParams, bp: BatteryParams, base_costs: np.ndarr
     cost = base_costs.take(step_rows + steps)
     cost += soc_penalty(cp, bp, soc)
     total = np.add.accumulate(cost, axis=0, out=cost)[-1].copy()
-    if terminal_soc_value != 0.0:
-        total += terminal_soc_value * (bp.soc_max - soc[-1])
+    total += terminal_term(terminal_soc_value, bp, soc[-1])
     return total
+
+
+def terminal_term(terminal_soc_value: float, bp: BatteryParams, soc_end):
+    """J's terminal term terminal_soc_value * (soc_max - soc_end) over arrays; zeros
+    at weight 0, also where soc_end overflowed to +-inf (0 * inf would be NaN)."""
+    if terminal_soc_value == 0.0:
+        return np.zeros_like(soc_end)
+    return terminal_soc_value * (bp.soc_max - soc_end)
 
 
 def action_terms(cp: CostParams, bp: BatteryParams, p_ch, p_dis):

@@ -20,7 +20,7 @@ from .battery import clip_feasible, step_soc
 from .config import Config
 from .core import ControlAction, Scenario, ValidationError
 from .costing import HourRecord, book_run
-from .evo import aco_solve, eg_solve
+from .evo import aco_solve, eg_solve, require_aco_budget, require_eg_budget
 from .horizon import HorizonProblem, build_lattice, solve_exact, solve_myopic
 # predict stays in this namespace for callers that patch helios.engine.predict.
 from .renewable import predict, predict_series  # noqa: F401
@@ -152,7 +152,8 @@ class ComparisonResult:
 
 def compare_strategies(scenario: Scenario, strategies, cfg: Config,
                        seed: int | None = None) -> ComparisonResult:
-    """Run each strategy, named at most once, with its own derived RNG stream.
+    """Run each strategy, named at most once, with its own derived RNG stream;
+    an EG or ACO search its solver would refuse is refused before any run.
 
     Streams are derived as seed XOR the strategy's position in StrategyKind,
     so results do not depend on the order strategies are requested in.
@@ -163,6 +164,13 @@ def compare_strategies(scenario: Scenario, strategies, cfg: Config,
     for i, kind in enumerate(strategies):
         if kind in strategies[:i]:
             raise ValidationError(f"strategy '{kind.value}' is requested twice")
+    n_steps = min(cfg.horizon, scenario.steps)  # the first window, the longest
+    if StrategyKind.EG_MPC in strategies:
+        require_eg_budget(cfg.evo, n_steps)
+    if StrategyKind.AC_MPC in strategies:
+        bp = cfg.battery
+        lattice = build_lattice(bp.p_ch_max, bp.p_dis_max, cfg.delta_p)
+        require_aco_budget(cfg.aco, n_steps, len(lattice))
     base_seed = cfg.seed if seed is None else seed
     order = list(StrategyKind)
     traces = []

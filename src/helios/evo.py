@@ -13,8 +13,8 @@ objective, HorizonProblem.costs_of.
 
 A generation of eg_solve draws, whatever the costs, in this order (the order
 is the contract that fixes every plan for a seed): random(2 * n_pairs)
-selection uniforms, random((n_pairs, n - 1)) crossover cut keys (only when
-k >= 1 cuts fit), random((n_children, n)) mutation coins, then
+selection uniforms, random((n_pairs, n - 1)) crossover cut keys,
+random((n_children, n)) mutation coins, then
 integers(0, n_actions, (n_children, n)) replacement genes. The three random
 calls are one call of their summed length, which yields the same doubles;
 integers stays its own call, as it draws 32-bit halves that a merged call
@@ -34,7 +34,8 @@ ant-colony comparison arm: Ant System on the layered (stage, action)
 construction graph. Its heuristic reads the window's SOC-free stage costs,
 HorizonProblem.base_costs, plus the SOC penalty at each ant's own state
 (HorizonProblem.transitions), priced once per distinct ant state. Both
-solvers start with require_feasible.
+solvers start with their size budget (require_eg_budget, require_aco_budget,
+which compare_strategies also checks before any run), then require_feasible.
 
 All randomness flows from one seed through a single numpy Generator per
 solve; identical inputs and seed give identical output and trace. Genomes
@@ -241,6 +242,21 @@ def _local_search_indices(hp: HorizonProblem, genome: np.ndarray, cost: float,
 # =============================================================================
 
 
+def require_eg_budget(ep: EvoParams, n_steps: int) -> None:
+    """Refuses an EG population table (population x steps) past MAX_SEARCH_TABLE."""
+    if ep.population * n_steps > MAX_SEARCH_TABLE:
+        raise BudgetExceeded(f"EG population {ep.population} x {n_steps} steps exceeds "
+                             f"{MAX_SEARCH_TABLE} cells")
+
+
+def require_aco_budget(ap: AcoParams, n_steps: int, n_actions: int) -> None:
+    """Refuses an ACO colony whose paths (ants x steps) or per-step weights
+    (ants x actions) exceed MAX_SEARCH_TABLE."""
+    if ap.ants * max(n_steps, n_actions) > MAX_SEARCH_TABLE:
+        raise BudgetExceeded(f"ACO colony {ap.ants} x {max(n_steps, n_actions)} steps "
+                             f"or actions exceeds {MAX_SEARCH_TABLE} cells")
+
+
 def eg_solve(hp: HorizonProblem, ep: EvoParams
              ) -> tuple[CandidateSequence, float, list[float]]:
     """Evolutionary-game optimization of one horizon problem.
@@ -249,9 +265,7 @@ def eg_solve(hp: HorizonProblem, ep: EvoParams
     best-cost trace (monotone nonincreasing by elitism).
     """
     n, n_actions = hp.n_steps, len(hp.lattice)
-    if ep.population * n > MAX_SEARCH_TABLE:
-        raise BudgetExceeded(f"EG population {ep.population} x {n} steps exceeds "
-                             f"{MAX_SEARCH_TABLE} cells")
+    require_eg_budget(ep, n)
     hp.require_feasible()
     rng = np.random.default_rng(ep.seed)
     m, elite = ep.population, ep.elite
@@ -260,7 +274,7 @@ def eg_solve(hp: HorizonProblem, ep: EvoParams
     k = min(ep.crossover_points, n - 1)  # 0: one-gene sequences cannot be cut
     # A generation's doubles, in draw order: selection, cuts, mutation coins.
     n_sel = 2 * n_pairs
-    n_cut = n_pairs * (n - 1) if k >= 1 else 0
+    n_cut = n_pairs * (n - 1)
     width = n_sel + n_cut + n_children * n
     block = max(1, min(ep.generations, _EG_BLOCK // width))
     draws = np.empty((block, width))
@@ -274,9 +288,9 @@ def eg_solve(hp: HorizonProblem, ep: EvoParams
     pop[...] = _lhs_indices(rng, m, n, n_actions).T
     costs, nxt_costs = np.empty((2, m))
     costs[...] = hp.costs_of(pop.T)
-    bi = int(np.argmin(costs))
-    best_genome = pop[:, bi].copy()
-    best_cost = float(costs[bi])
+    # Generation 1 keeps the initial minimum as elite 0, where argmin finds it first.
+    best_genome: np.ndarray | None = None
+    best_cost = np.inf
     last_searched = b""
 
     trace: list[float] = []
@@ -286,10 +300,10 @@ def eg_solve(hp: HorizonProblem, ep: EvoParams
             rng.random(out=draws[g])
             genes[g] = rng.integers(0, n_actions, size=(n_children, n)).T
         # Everything that needs only the draws, for the whole block, step-major.
-        if k >= 1:
-            use_b = _cut_mask(draws[:count, n_sel:n_sel + n_cut].reshape(-1, n - 1), k)
-            swap = np.repeat(use_b.reshape(count, n_pairs, n), 2, axis=1)[:, :n_children]
-            swap = np.ascontiguousarray(swap.transpose(0, 2, 1))
+        cut_keys = draws[:count, n_sel:n_sel + n_cut].reshape(count * n_pairs, n - 1)
+        use_b = _cut_mask(cut_keys, k).reshape(count, n_pairs, n)  # all False at n = 1
+        swap = np.repeat(use_b, 2, axis=1)[:, :n_children]
+        swap = np.ascontiguousarray(swap.transpose(0, 2, 1))
         coins = draws[:count, n_sel + n_cut:].reshape(count, n_children, n)
         mutated = np.ascontiguousarray(_mutation_mask(coins, ep.p_mut).transpose(0, 2, 1))
 
@@ -297,8 +311,7 @@ def eg_solve(hp: HorizonProblem, ep: EvoParams
             parents = _select(costs, draws[g, :n_sel], ep.epsilon_fitness)
             children = nxt[:, elite:]
             pop.take(parents[:n_children], axis=1, out=children)
-            if k >= 1:
-                np.copyto(children, pop.take(parents[partner_of], axis=1), where=swap[g])
+            np.copyto(children, pop.take(parents[partner_of], axis=1), where=swap[g])
             np.copyto(children, genes[g], where=mutated[g])
             keep = costs.argsort(kind="stable")[:elite]
             pop.take(keep, axis=1, out=nxt[:, :elite])
@@ -306,23 +319,19 @@ def eg_solve(hp: HorizonProblem, ep: EvoParams
             nxt_costs[elite:] = hp.costs_of(children.T)
             pop, nxt, costs, nxt_costs = nxt, pop, nxt_costs, costs
 
-            bi = int(costs.argmin())
-            if costs[bi] < best_cost:
-                best_cost = float(costs[bi])
-                best_genome = pop[:, bi].copy()
-
             # Local search on the incumbent best. Re-searching an unchanged
             # incumbent cannot improve it (the climb is deterministic), so skip.
-            if ep.local_search_budget > 0 and pop[:, bi].tobytes() != last_searched:
+            bi = int(costs.argmin())
+            if pop[:, bi].tobytes() != last_searched:
                 refined, refined_cost = _local_search_indices(
                     hp, pop[:, bi], float(costs[bi]), ep.local_search_budget)
                 last_searched = refined.tobytes()
                 if refined_cost < costs[bi]:
                     pop[:, bi] = refined
                     costs[bi] = refined_cost
-                if refined_cost < best_cost:
-                    best_cost = float(refined_cost)
-                    best_genome = refined.copy()
+            if costs[bi] < best_cost:
+                best_cost = float(costs[bi])
+                best_genome = pop[:, bi].copy()
 
             trace.append(best_cost)
 
@@ -346,9 +355,7 @@ def aco_solve(hp: HorizonProblem, ap: AcoParams
     the row total (uniform when every weight is 0).
     """
     n, n_actions = hp.n_steps, len(hp.lattice)
-    if ap.ants * max(n, n_actions) > MAX_SEARCH_TABLE:  # paths and per-step weights
-        raise BudgetExceeded(f"ACO colony {ap.ants} x {max(n, n_actions)} steps or "
-                             f"actions exceeds {MAX_SEARCH_TABLE} cells")
+    require_aco_budget(ap, n, n_actions)
     hp.require_feasible()
     rng = np.random.default_rng(ap.seed)
 
@@ -380,8 +387,7 @@ def aco_solve(hp: HorizonProblem, ap: AcoParams
                 bits = np.sort(socs.view(np.int64), kind="stable")
                 bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
                 at, states = np.searchsorted(bits, socs.view(np.int64)), bits.view(float)
-        if hp.terminal_soc_value != 0.0:
-            total += hp.terminal_credit(socs)
+        total += hp.terminal_credit(socs)
 
         bi = int(np.argmin(total))
         if total[bi] < best_cost:

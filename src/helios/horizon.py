@@ -6,11 +6,11 @@ the budget, otherwise backward dynamic programming on a discretized SOC grid
 (next-SOC snapped to the nearest node). It doubles as the "standard MPC"
 strategy and as the oracle that the metaheuristics are tested against.
 
-HorizonProblem owns a window's objective: the forecast, the tables
-base_costs (SOC-free stage costs) and soc_steps, costs_of (gathers from them),
-transitions, terminal_credit and require_feasible; solvers only read these.
-What does not change between windows is built once per run: soc_steps and
-the action terms of base_costs (cycling cost, net battery power) are
+HorizonProblem owns a window's objective: the forecast, the tables base_costs
+(SOC-free stage costs) and soc_steps, costs_of (gathers from them), transitions,
+terminal_credit (costing.terminal_term) and require_feasible; solvers only read
+these. What does not change between windows is built once per run: soc_steps
+and the action terms of base_costs (cycling cost, net battery power) are
 read-only tables on the run's lattice, by (battery, costs); a window prices
 only base_costs from its own load and forecast.
 Enumeration walks the prefix tree depth first, in lexicographic order, and
@@ -41,7 +41,7 @@ from .battery import soc_after
 from .core import (BatteryParams, BudgetExceeded, ControlAction, CostParams,
                    InvalidStep, Scenario, ValidationError, check_series)
 from .costing import (action_terms, sequence_cost, sequence_costs_batch, soc_penalty,
-                      stage_base_of)
+                      stage_base_of, terminal_term)
 from .renewable import RenewableModel, predict_series
 
 DEFAULT_DELTA_P = 50.0          # kW
@@ -227,8 +227,8 @@ class HorizonProblem:
         return soc_next, soc_penalty(self.costs, self.battery, soc_next)
 
     def terminal_credit(self, soc_end):
-        """The terminal term of J: terminal_soc_value * (soc_max - soc_end)."""
-        return self.terminal_soc_value * (self.battery.soc_max - soc_end)
+        """The terminal term of J: costing.terminal_term at this window's weight."""
+        return terminal_term(self.terminal_soc_value, self.battery, soc_end)
 
     def cost_of(self, u: CandidateSequence | list[ControlAction]) -> float:
         """Window objective J(u) for one candidate."""
@@ -303,8 +303,7 @@ def _solve_enumeration(hp: HorizonProblem) -> tuple[CandidateSequence, float]:
                 expand(t + 1, soc_next.ravel()[s:s + block], cost.ravel()[s:s + block],
                        first * n_actions + s)
             return
-        if hp.terminal_soc_value != 0.0:
-            cost += hp.terminal_credit(soc_next)
+        cost += hp.terminal_credit(soc_next)
         i = int(np.argmin(cost))  # the block's first minimum; strict < the first block's
         if cost.flat[i] < best[0]:
             best[:] = float(cost.flat[i]), first * n_actions + i
@@ -411,8 +410,7 @@ def solve_myopic(hp: HorizonProblem) -> CandidateSequence:
     for t in range(hp.n_steps):
         soc_next, pen = hp.transitions(soc)
         stage = hp.base_costs[t] + pen
-        if hp.terminal_soc_value != 0.0:
-            stage += hp.terminal_credit(soc_next)
+        stage += hp.terminal_credit(soc_next)
         a = int(np.argmin(stage))
         idx.append(a)
         soc = float(soc_next[a])

@@ -272,6 +272,53 @@ def test_search_past_budget_exits_2(tmp_path, capsys, setting, message):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("setting", ["evo_population=200000", "aco_ants=43479"])
+def test_search_past_budget_is_refused_before_any_run(tmp_path, monkeypatch, setting):
+    runs = []
+    run_closed_loop = helios.engine.run_closed_loop
+
+    def counted(scenario, strategy, *args, **kwargs):
+        runs.append(strategy)
+        return run_closed_loop(scenario, strategy, *args, **kwargs)
+
+    monkeypatch.setattr(helios.engine, "run_closed_loop", counted)
+    code = cli_main(["compare", "--data", "synthetic", "--strategies",
+                     "renewable_first,myopic_mpc,standard_mpc,ac_mpc,eg_mpc",
+                     "--set", setting, "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert runs == []
+
+
+@pytest.mark.parametrize("overrides", [
+    ("cost_c_backup=20", "cost_q_under=30", "cost_r_over=30"),
+    ("battery_capacity_kwh=800", "battery_soc_max_kwh=700"),
+    ("evo_population=3", "evo_elite=2"),
+], ids=["costs", "battery", "evo"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["given", "reversed"])
+def test_set_overrides_are_applied_together(tmp_path, overrides, reverse):
+    # Each config is valid, but applied one at a time in the given order the
+    # first override fails a cross-field check.
+    cfg = tmp_path / "pair.cfg"
+    cfg.write_text("".join(f"{item.replace('=', ' = ')}\n" for item in overrides))
+    run = ["compare", "--data", "synthetic", "--strategies", "renewable_first,eg_mpc"]
+    assert cli_main(run + ["--config", str(cfg), "--out-dir", str(tmp_path / "file")]) == 0
+    order = overrides[::-1] if reverse else overrides
+    sets = [arg for item in order for arg in ("--set", item)]
+    assert cli_main(run + sets + ["--out-dir", str(tmp_path / "set")]) == 0
+    assert ((tmp_path / "set" / "comparison.kv").read_bytes()
+            == (tmp_path / "file" / "comparison.kv").read_bytes())
+
+
+def test_a_key_set_twice_takes_its_last_value(tmp_path):
+    run = ["compare", "--data", "synthetic", "--strategies", "eg_mpc"]
+    assert cli_main(run + ["--set", "evo_population=3", "--set", "evo_population=12",
+                           "--out-dir", str(tmp_path / "twice")]) == 0
+    assert cli_main(run + ["--set", "evo_population=12",
+                           "--out-dir", str(tmp_path / "once")]) == 0
+    assert ((tmp_path / "twice" / "comparison.kv").read_bytes()
+            == (tmp_path / "once" / "comparison.kv").read_bytes())
+
+
 def run_helios_module(*args):
     """`python -m helios ARGS` in a child process, on this checkout's helios."""
     src = os.path.dirname(os.path.dirname(helios.__file__))

@@ -10,7 +10,8 @@ from helios.core import (BatteryParams, ControlAction, CostParams, LengthMismatc
                          NegativeValue, ValidationError)
 from helios.battery import clip_feasible, soc_after, step_soc
 from helios.costing import (CostBreakdown, action_terms, backup_power, book_run,
-                            sequence_cost, soc_penalty, stage_base_of, step_cost)
+                            sequence_cost, soc_penalty, stage_base_of, step_cost,
+                            terminal_term)
 from helios.horizon import build_lattice, solve_exact
 
 REFERENCE_BATTERY = BatteryParams(capacity=1000.0, soc_min=100.0, soc_max=900.0,
@@ -263,6 +264,18 @@ class TestSequenceCost:
         hp = make_problem([100.0] * 4, [50.0] * 4)
         with pytest.raises(LengthMismatch):
             hp.costs_of(np.zeros((2, width), dtype=np.int64))
+
+
+class TestTerminalTerm:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_weight_adds_zeros_even_at_an_overflowed_soc(self, battery):
+        term = terminal_term(0.0, battery, np.array([np.inf, -np.inf, 500.0]))
+        assert term.tolist() == [0.0, 0.0, 0.0]
+
+    def test_nonzero_weight_is_the_formula_bit_for_bit(self, battery):
+        soc = np.random.default_rng(5).uniform(-300.0, 1500.0, 64)
+        assert (terminal_term(0.2, battery, soc).tolist()
+                == (0.2 * (battery.soc_max - soc)).tolist())
 
 
 class TestSplitKernel:
