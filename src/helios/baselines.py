@@ -1,12 +1,13 @@
 """Rule-based dispatch strategies and the strategy registry.
 
-The three rules act on the current hour only and state gross intents: the
-power to store and the power the battery should serve. Battery-First and
-50/50 want both in the same hour; since an action cannot charge and
-discharge at once, rule_step nets them into one action while the bill keeps
-the gross discharge (the cycling the rule asked for). Rules do not clip:
-the engine applies the plant's limits with clip_feasible, as for every
-strategy.
+The three rules are one policy, the share rule, at three battery shares of
+the load: 0 for Renewable-First, 1/2 for 50/50, 1 for Battery-First. The
+battery targets its share, renewables the rest; a shortfall in one source
+spills to the other, the remainder falls through to backup, and leftover
+renewables are stored. The intents are gross: an action cannot charge and
+discharge at once, so rule_step nets them into one action while the bill
+keeps the gross discharge (the cycling the rule asked for). Rules do not
+clip: the engine applies the plant's limits with clip_feasible.
 """
 
 from __future__ import annotations
@@ -38,51 +39,26 @@ class StrategyKind(enum.Enum):
                 f"unknown strategy '{name}' (valid: {valid})") from None
 
 
-def _renewable_first(p: BatteryParams, soc: float, load: float,
-                     renewable: float) -> tuple[float, float]:
-    """Gross (charge, discharge) intents of the Renewable-First rule: store the
-    surplus, discharge on deficit; the rest falls through to backup."""
-    deficit = max(0.0, load - renewable)
-    return max(0.0, renewable - load), min(deficit, max_discharge_kw(p, soc))
-
-
-def _battery_first(p: BatteryParams, soc: float, load: float,
-                   renewable: float) -> tuple[float, float]:
-    """Gross (charge, discharge) intents of the Battery-First rule.
-
-    The battery serves the load up to its limits even when renewables
-    suffice; all renewable power not needed for the residual load is stored.
-    """
-    gross_dis = min(load, max_discharge_kw(p, soc))
-    residual = max(0.0, load - gross_dis)
-    renewable_to_load = min(renewable, residual)
-    gross_ch = renewable - renewable_to_load
-    return gross_ch, gross_dis
-
-
-def _fifty_fifty(p: BatteryParams, soc: float, load: float,
-                 renewable: float) -> tuple[float, float]:
-    """Gross (charge, discharge) intents of the 50/50 split rule.
-
-    Renewables and battery each target half the load; a shortfall in one
-    source spills to the other before falling through to backup. Leftover
-    renewable generation is stored.
-    """
+def _share_rule(share: float, p: BatteryParams, soc: float, load: float,
+                renewable: float) -> tuple[float, float]:
+    """Gross (charge, discharge) intents of the rule whose battery targets
+    `share` of the load and whose renewables target the rest."""
     dis_cap = max_discharge_kw(p, soc)
-    ren_share = min(renewable, load / 2.0)
-    bat_share = min(dis_cap, load / 2.0)
+    ren_share = min(renewable, load * (1.0 - share))
+    bat_share = min(dis_cap, load * share)
     residual = load - ren_share - bat_share
-    extra_ren = min(renewable - ren_share, max(0.0, residual))
-    residual -= extra_ren
-    extra_bat = min(dis_cap - bat_share, max(0.0, residual))
-    gross_dis = bat_share + extra_bat
-    gross_ch = renewable - ren_share - extra_ren
-    return gross_ch, gross_dis
+    extra_ren = extra_bat = 0.0  # what the spill lines give on a covered load
+    if residual > 0:
+        extra_ren = min(renewable - ren_share, residual)
+        residual -= extra_ren
+        extra_bat = min(dis_cap - bat_share, residual)
+    return renewable - ren_share - extra_ren, bat_share + extra_bat
 
 
-_RULES = {StrategyKind.RENEWABLE_FIRST: _renewable_first,
-          StrategyKind.BATTERY_FIRST: _battery_first,
-          StrategyKind.FIFTY_FIFTY: _fifty_fifty}
+# The battery's share of the load under each rule.
+_RULES = {StrategyKind.RENEWABLE_FIRST: 0.0,
+          StrategyKind.BATTERY_FIRST: 1.0,
+          StrategyKind.FIFTY_FIFTY: 0.5}
 RULE_BASED = tuple(_RULES)
 
 
@@ -90,10 +66,10 @@ def rule_step(kind: StrategyKind, p: BatteryParams, soc: float, load: float,
               renewable: float) -> tuple[ControlAction, float]:
     """One rule's intents netted into one unclipped action, paired with the
     gross discharge in kW it is billed for: (action, billed_discharge)."""
-    rule = _RULES.get(kind)
-    if rule is None:
+    share = _RULES.get(kind)
+    if share is None:
         raise ValidationError(f"{kind} is not a rule-based strategy")
-    gross_ch, gross_dis = rule(p, soc, load, renewable)
+    gross_ch, gross_dis = _share_rule(share, p, soc, load, renewable)
     net = gross_ch - gross_dis
     action = ControlAction(p_ch=net) if net >= 0 else ControlAction(p_dis=-net)
     return action, gross_dis

@@ -8,8 +8,9 @@ Per-step cost has three components:
 where soc' is the unclamped next SOC. The horizon cost J(u) simulates the
 unclamped dynamics forward and sums step costs; an optional terminal term,
 terminal_term, credits plans that end with energy in the battery (weight 0
-by default, where it adds nothing; Config refuses a negative weight, which
-would charge for stored energy instead of crediting it).
+by default, where it adds nothing; a plan whose SOC overflowed gets no credit;
+Config refuses a negative weight, which would charge for stored energy
+instead of crediting it).
 
 book_run books a closed-loop run in one vector pass: every hour's flows and
 bill, by backup_of (stage_base_of's backup formula) and soc_penalty, and the
@@ -25,6 +26,7 @@ the SOC path and the total are sequential sums along the steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +96,7 @@ def sequence_cost(cp: CostParams, bp: BatteryParams, load_kw, renewable_kw,
         soc_next = step_soc(bp, soc, a)
         total += step_cost(cp, bp, load, ren, a, soc_next).total
         soc = soc_next
-    if terminal_soc_value != 0.0:
+    if terminal_soc_value != 0.0 and not math.isinf(soc):  # as terminal_term
         total += terminal_soc_value * (bp.soc_max - soc)
     return total
 
@@ -123,11 +125,16 @@ def sequence_costs_batch(cp: CostParams, bp: BatteryParams, base_costs: np.ndarr
 
 
 def terminal_term(terminal_soc_value: float, bp: BatteryParams, soc_end):
-    """J's terminal term terminal_soc_value * (soc_max - soc_end) over arrays; zeros
-    at weight 0, also where soc_end overflowed to +-inf (0 * inf would be NaN)."""
+    """J's terminal term terminal_soc_value * (soc_max - soc_end) over arrays.
+
+    A soc_end that overflowed to +-inf gets 0: its SOC penalty already prices
+    the plan at inf, and a credit of -inf would make it NaN. Weight 0 gives
+    zeros (0 * inf would be NaN)."""
     if terminal_soc_value == 0.0:
         return np.zeros_like(soc_end)
-    return terminal_soc_value * (bp.soc_max - soc_end)
+    credit = terminal_soc_value * (bp.soc_max - soc_end)
+    np.copyto(credit, 0.0, where=np.isinf(soc_end))
+    return credit
 
 
 def action_terms(cp: CostParams, bp: BatteryParams, p_ch, p_dis):

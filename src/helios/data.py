@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (NegativeValue, ParseError, Scenario, ValidationError,
                    check_finite_fields)
-from .renewable import RenewableModel, predict
+from .renewable import RenewableModel, predict_series
 
 SCENARIO_COLUMNS = ("hour", "irradiance_kwh_m2", "wind_ms", "load_kw")
 RENEWABLE_COLUMN = "renewable_kw"
@@ -96,19 +96,23 @@ def load_fit_samples(path: str) -> list[tuple[float, float, float]]:
 
 def write_scenario_csv(path: str, scenario: Scenario,
                        renewable_model: RenewableModel | None = None) -> None:
-    """Write a scenario; with a model, append the predicted renewable_kw column."""
+    """Write a scenario; with a model, append the predicted renewable_kw column.
+
+    The column is predicted before the file is opened, so a wind speed that
+    predict refuses leaves no file behind."""
+    header = list(SCENARIO_COLUMNS)
+    if renewable_model is not None:
+        header.append(RENEWABLE_COLUMN)
+        renewable = predict_series(renewable_model, scenario.irradiance,
+                                   scenario.wind_speed)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        header = list(SCENARIO_COLUMNS)
-        if renewable_model is not None:
-            header.append(RENEWABLE_COLUMN)
         writer.writerow(header)
         for i in range(scenario.steps):
             row = [str(scenario.start_hour + i), repr(scenario.irradiance[i]),
                    repr(scenario.wind_speed[i]), repr(scenario.load[i])]
             if renewable_model is not None:
-                row.append(repr(predict(renewable_model, scenario.irradiance[i],
-                                        scenario.wind_speed[i])))
+                row.append(repr(renewable[i]))
             writer.writerow(row)
 
 

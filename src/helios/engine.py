@@ -21,7 +21,8 @@ from .config import Config
 from .core import ControlAction, Scenario, ValidationError
 from .costing import HourRecord, book_run
 from .evo import aco_solve, eg_solve, require_aco_budget, require_eg_budget
-from .horizon import HorizonProblem, build_lattice, solve_exact, solve_myopic
+from .horizon import (HorizonProblem, build_lattice, require_dp_budget, solve_exact,
+                      solve_myopic, takes_dp)
 # predict stays in this namespace for callers that patch helios.engine.predict.
 from .renewable import predict, predict_series  # noqa: F401
 
@@ -153,7 +154,7 @@ class ComparisonResult:
 def compare_strategies(scenario: Scenario, strategies, cfg: Config,
                        seed: int | None = None) -> ComparisonResult:
     """Run each strategy, named at most once, with its own derived RNG stream;
-    an EG or ACO search its solver would refuse is refused before any run.
+    an EG, ACO or grid DP table its solver would refuse is refused before any run.
 
     Streams are derived as seed XOR the strategy's position in StrategyKind,
     so results do not depend on the order strategies are requested in.
@@ -165,12 +166,15 @@ def compare_strategies(scenario: Scenario, strategies, cfg: Config,
         if kind in strategies[:i]:
             raise ValidationError(f"strategy '{kind.value}' is requested twice")
     n_steps = min(cfg.horizon, scenario.steps)  # the first window, the longest
+    bp = cfg.battery
+    n_actions = len(build_lattice(bp.p_ch_max, bp.p_dis_max, cfg.delta_p))
     if StrategyKind.EG_MPC in strategies:
         require_eg_budget(cfg.evo, n_steps)
     if StrategyKind.AC_MPC in strategies:
-        bp = cfg.battery
-        lattice = build_lattice(bp.p_ch_max, bp.p_dis_max, cfg.delta_p)
-        require_aco_budget(cfg.aco, n_steps, len(lattice))
+        require_aco_budget(cfg.aco, n_steps, n_actions)
+    if (StrategyKind.STANDARD_MPC in strategies
+            and takes_dp(n_actions, n_steps, cfg.max_enumeration)):
+        require_dp_budget(bp, cfg.soc_grid_step, n_steps, n_actions)
     base_seed = cfg.seed if seed is None else seed
     order = list(StrategyKind)
     traces = []

@@ -244,8 +244,9 @@ class HorizonProblem:
 
     def require_feasible(self) -> None:
         """Refuses, before any search, a window where every candidate costs inf:
-        exact, as penalties are >= 0, rounded sums monotone and inf + credit inf.
-        The row minima are summed in step order, as costs_of sums."""
+        exact, as penalties are >= 0, rounded sums monotone and inf + credit inf
+        (the credit is finite, or 0 where the SOC overflowed). The row minima
+        are summed in step order, as costs_of sums."""
         total = 0.0
         for cost in self.base_costs.min(axis=1).tolist():
             total += cost
@@ -283,9 +284,31 @@ def solve_exact(hp: HorizonProblem,
     of the returned sequence, so enumeration and DP results are comparable.
     """
     hp.require_feasible()
-    if float(len(hp.lattice)) ** hp.n_steps <= max_enumeration:
-        return _solve_enumeration(hp)
-    return _solve_dp(hp, soc_grid_step)
+    if takes_dp(len(hp.lattice), hp.n_steps, max_enumeration):
+        return _solve_dp(hp, soc_grid_step)
+    return _solve_enumeration(hp)
+
+
+def takes_dp(n_actions: int, n_steps: int, max_enumeration: int) -> bool:
+    """solve_exact's path rule: grid DP once n_actions ** n_steps sequences
+    exceed max_enumeration (also where that count overflows a float)."""
+    try:
+        return float(n_actions) ** n_steps > max_enumeration
+    except OverflowError:
+        return True
+
+
+def require_dp_budget(bp: BatteryParams, soc_grid_step: float, n_steps: int,
+                      n_actions: int) -> int:
+    """The SOC grid's node count; refuses a step that is not finite and
+    positive, and a DP table (nodes x steps x actions) past MAX_DP_TABLE."""
+    if not (math.isfinite(soc_grid_step) and soc_grid_step > 0):
+        raise InvalidStep(f"soc_grid_step must be finite and positive, got {soc_grid_step}")
+    n_nodes = _grid_nodes(bp.soc_min, bp.soc_max, soc_grid_step)
+    if n_nodes * n_steps * n_actions > MAX_DP_TABLE:
+        raise BudgetExceeded(
+            f"DP table {n_nodes}x{n_steps}x{n_actions} exceeds {MAX_DP_TABLE}")
+    return n_nodes
 
 
 def _solve_enumeration(hp: HorizonProblem) -> tuple[CandidateSequence, float]:
@@ -337,12 +360,8 @@ def _dp_tables(hp: HorizonProblem, soc_grid_step: float
     each node; then each action's stage-0 cost-to-go from soc0 and the node
     it leads to (nearest, round half up, clamped to the grid).
     """
-    if not (math.isfinite(soc_grid_step) and soc_grid_step > 0):
-        raise InvalidStep(f"soc_grid_step must be finite and positive, got {soc_grid_step}")
     bp, n, n_actions = hp.battery, hp.n_steps, len(hp.lattice)
-    n_nodes = _grid_nodes(bp.soc_min, bp.soc_max, soc_grid_step)
-    if n_nodes * n * n_actions > MAX_DP_TABLE:
-        raise BudgetExceeded(f"DP table {n_nodes}x{n}x{n_actions} exceeds {MAX_DP_TABLE}")
+    n_nodes = require_dp_budget(bp, soc_grid_step, n, n_actions)
     grid = np.arange(bp.soc_min, bp.soc_max + soc_grid_step / 2, soc_grid_step)
     key, block = (bp, hp.costs, soc_grid_step), max(1, _DP_BLOCK // n_actions)
     if key not in hp.lattice.dp_rows:  # the grid rows' tables, once per run

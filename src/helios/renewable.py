@@ -52,9 +52,15 @@ def reference_model(p_rated: float = DEFAULT_P_RATED) -> RenewableModel:
 def predict(m: RenewableModel, irr: float, v: float) -> float:
     """Predicted renewable power in kW, clamped to [0, p_rated].
 
-    irr and v must be nonnegative.
+    irr and v must be nonnegative. A wind speed whose cube overflows a float
+    (above about 5.6e102 m/s) is refused with ValidationError.
     """
-    raw = m.a1 * irr + m.a2 * v + m.a3 * v ** 3 + m.a4
+    try:
+        cube = float(v) ** 3  # a numpy scalar's cube would overflow to inf instead
+    except OverflowError:
+        raise ValidationError(f"wind speed {v} m/s is too large: its cube overflows "
+                              "a float") from None
+    raw = m.a1 * irr + m.a2 * v + m.a3 * cube + m.a4
     return min(max(raw, 0.0), m.p_rated)
 
 

@@ -1,11 +1,15 @@
 """Rule-based strategy behavior: branch logic, netting, billing."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helios.baselines import StrategyKind, rule_step
-from helios.battery import clip_feasible, step_soc
-from helios.core import ValidationError
+from helios.baselines import _RULES, RULE_BASED, StrategyKind, _share_rule, rule_step
+from helios.battery import clip_feasible, max_discharge_kw, step_soc
+from helios.core import BatteryParams, ValidationError
 from helios.costing import book_run
 
 RF = StrategyKind.RENEWABLE_FIRST
@@ -121,3 +125,50 @@ def test_policies_are_deterministic(battery):
 def test_rule_step_rejects_optimizer_kinds(battery):
     with pytest.raises(ValidationError):
         rule_step(StrategyKind.EG_MPC, battery, 500.0, 100.0, 100.0)
+
+
+@st.composite
+def batteries(draw):
+    soc_min = draw(st.floats(0.0, 500.0))
+    soc_max = draw(st.floats(soc_min + 1.0, 1000.0))
+    return BatteryParams(capacity=1000.0, soc_min=soc_min, soc_max=soc_max,
+                         p_ch_max=draw(st.floats(1.0, 1000.0)),
+                         p_dis_max=draw(st.floats(1.0, 1000.0)),
+                         eta_ch=draw(st.floats(0.5, 1.0)),
+                         eta_dis=draw(st.floats(0.5, 1.0)),
+                         dt=draw(st.sampled_from([1.0, 0.25])))
+
+
+powers = st.one_of(st.just(0.0), st.floats(0.0, 1000.0))
+
+
+@pytest.mark.parametrize("kind", RULE_BASED, ids=lambda k: k.value)
+@settings(max_examples=300, deadline=None)
+@given(battery=batteries(), soc=st.floats(-200.0, 1200.0), load=powers,
+       renewable=powers)
+def test_share_rule_splits_the_load_within_each_source(kind, battery, soc, load,
+                                                       renewable):
+    share = _RULES[kind]
+    cap = max_discharge_kw(battery, soc)
+    gross_ch, gross_dis = _share_rule(share, battery, soc, load, renewable)
+    used = renewable - gross_ch  # renewables serving the load
+    tol = 1e-12 * (load + renewable + cap)  # the rounding of three sums
+    assert 0.0 <= gross_dis <= cap
+    assert 0.0 <= gross_ch <= renewable
+    assert used + gross_dis <= load + tol
+    # Past its share of the load, a source covers only the other's shortfall:
+    # the battery once renewables are spent, renewables once the battery is
+    # at its limit; together they cover as much of the load as both can.
+    if gross_dis > load * share + tol:
+        assert gross_ch <= tol
+    if used > load * (1.0 - share) + tol:
+        assert gross_dis >= cap - tol
+    assert used + gross_dis >= min(load, renewable + cap) - tol
+
+
+def test_battery_first_bills_a_signed_zero_load_as_zero(battery):
+    # A -0.0 kW cell passes the CSV checks; the gross discharge
+    # bat_share + 0.0 is +0.0, so the bill carries no signed zero.
+    action, billed = rule_step(BF, battery, 500.0, load=-0.0, renewable=100.0)
+    assert math.copysign(1.0, billed) == 1.0 and billed == 0.0
+    assert action.p_ch == 100.0 and action.p_dis == 0.0

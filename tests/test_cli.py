@@ -272,7 +272,10 @@ def test_search_past_budget_exits_2(tmp_path, capsys, setting, message):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("setting", ["evo_population=200000", "aco_ants=43479"])
+# The grid DP table is checked too, as standard_mpc's first window takes the
+# DP path (23 ** 6 sequences exceed max_enumeration).
+@pytest.mark.parametrize("setting", ["evo_population=200000", "aco_ants=43479",
+                                     "soc_grid_step_kwh=1e-6"])
 def test_search_past_budget_is_refused_before_any_run(tmp_path, monkeypatch, setting):
     runs = []
     run_closed_loop = helios.engine.run_closed_loop
@@ -287,6 +290,13 @@ def test_search_past_budget_is_refused_before_any_run(tmp_path, monkeypatch, set
                      "--set", setting, "--out-dir", str(tmp_path / "o")])
     assert code == 2
     assert runs == []
+
+
+def test_dp_budget_is_not_checked_up_front_where_standard_mpc_enumerates(tmp_path):
+    # 23 ** 4 sequences fit max_enumeration, so the grid is never built.
+    assert cli_main(["compare", "--data", "synthetic", "--strategies", "standard_mpc",
+                     "--set", "soc_grid_step_kwh=1e-6", "--set", "horizon_steps=4",
+                     "--out-dir", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("overrides", [
@@ -349,6 +359,22 @@ def test_lattice_past_budget_exits_2_without_a_traceback(tmp_path):
     assert "budget error: lattice" in run.stderr
     assert "Traceback" not in run.stderr
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "generate-data"])
+def test_wind_whose_cube_overflows_exits_1_without_a_traceback(tmp_path, command):
+    out = tmp_path / "out"
+    if command == "compare":
+        csv = tmp_path / "big.csv"
+        csv.write_text("hour,irradiance_kwh_m2,wind_ms,load_kw\n0,0.5,1e103,200.0\n")
+        args = ["--data", str(csv), "--strategies", "renewable_first", "--out-dir"]
+    else:
+        args = ["--wind-base", "1e103", "--with-renewable", "--out"]
+    run = run_helios_module(command, *args, str(out))
+    assert run.returncode == 1
+    assert "error: wind speed 1e+103 m/s" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert not out.exists()
 
 
 def test_nan_load_in_csv_exits_1_naming_the_field(tmp_path, capsys):

@@ -277,6 +277,18 @@ class TestTerminalTerm:
         assert (terminal_term(0.2, battery, soc).tolist()
                 == (0.2 * (battery.soc_max - soc)).tolist())
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflowed_soc_gets_no_credit(self, battery):
+        term = terminal_term(0.2, battery, np.array([np.inf, -np.inf, 500.0]))
+        assert term.tolist() == [0.0, 0.0, 0.2 * (battery.soc_max - 500.0)]
+
+    def test_scalar_cost_of_an_overflowed_soc_is_inf_not_nan(self, battery, costs):
+        # Two 1.7e308 kW charges take the SOC to +inf: its penalty is inf,
+        # and a credit of -inf would have made the cost NaN.
+        plan = [ControlAction(p_ch=1.7e308)] * 2
+        cost = sequence_cost(costs, battery, [300.0] * 2, [0.0] * 2, 500.0, plan, 0.2)
+        assert cost == np.inf
+
 
 class TestSplitKernel:
     @settings(max_examples=150, deadline=None)

@@ -641,14 +641,32 @@ def test_window_without_a_finite_cost_raises_validation_error(solve):
 def test_window_with_some_infinite_candidates_is_solved(solve):
     # A 1.7e308 kW charge overflows the SOC penalty, and four hours of its
     # backup cost overflow their sum; idle and discharge plans stay finite,
-    # so the up-front refusal must let the window through.
+    # so the up-front refusal must let the window through. With a terminal
+    # credit, a plan whose SOC overflowed to +inf gets no credit: a credit
+    # of -inf would turn its inf cost into NaN, which np.argmin takes for
+    # the minimum.
     lattice = ActionLattice(delta_p=50.0, levels_ch=1, levels_dis=1,
                             actions=(ControlAction(), ControlAction(p_ch=1.7e308),
                                      ControlAction(p_dis=50.0)))
-    hp = make_problem([300.0] * 4, [0.0] * 4, lattice=lattice)
-    out = solve(hp)
-    plan = out if isinstance(out, CandidateSequence) else out[0]
-    assert math.isfinite(hp.cost_of(plan))
+    for terminal_soc_value in (0.0, 0.2):
+        hp = make_problem([300.0] * 4, [0.0] * 4, lattice=lattice,
+                          terminal_soc_value=terminal_soc_value)
+        out = solve(hp)
+        plan = out if isinstance(out, CandidateSequence) else out[0]
+        assert math.isfinite(hp.cost_of(plan))
+        if terminal_soc_value:
+            assert hp.cost_of(plan) == brute_force_optimum(hp)[1]
+
+
+def test_path_rule_takes_dp_where_the_sequence_count_overflows_a_float():
+    # 23.0 ** 300 and 9.0 ** 400 overflow, and float ** int raises OverflowError.
+    assert not helios.horizon.takes_dp(23, 4, DEFAULT_MAX_ENUMERATION)
+    assert helios.horizon.takes_dp(23, 5, DEFAULT_MAX_ENUMERATION)
+    assert helios.horizon.takes_dp(23, 300, DEFAULT_MAX_ENUMERATION)
+    hp = make_problem([300.0] * 400, [0.0] * 400)
+    assert len(hp.lattice) == 9
+    plan, cost = solve_exact(hp)
+    assert len(plan) == 400 and math.isfinite(cost)
 
 
 def refused(hp) -> bool:

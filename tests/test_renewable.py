@@ -8,7 +8,7 @@ import pytest
 
 from helios.core import NegativeValue, RankDeficient, TooFewSamples, ValidationError
 from helios.renewable import (RenewableModel, fit, reference_model, predict,
-                              surface)
+                              predict_series, surface)
 
 REF = reference_model()
 
@@ -32,6 +32,15 @@ class TestPredict:
     def test_monotone_in_irradiance_inside_band(self):
         values = [predict(REF, irr, 8.0) for irr in np.linspace(0.0, 1.0, 11)]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_wind_whose_cube_overflows_is_refused_naming_it(self):
+        assert predict(REF, 0.5, 5e102) == 0.0  # a finite cube of 1.25e308
+        with pytest.raises(ValidationError, match=r"wind speed 1e\+103 m/s"):
+            predict(REF, 0.5, 1e103)
+        with pytest.raises(ValidationError, match=r"wind speed 1e\+103 m/s"):
+            predict_series(REF, [0.5, 0.5], [8.0, 1e103])
+        with pytest.raises(ValidationError, match=r"wind speed 1e\+103 m/s"):
+            surface(REF, [0.5], np.array([8.0, 1e103]))
 
 
 def _samples(model, rng, n=50, noise=0.0):
