@@ -37,6 +37,12 @@ HorizonProblem.base_costs, plus the SOC penalty at each ant's own state
 solvers start with their size budget (require_eg_budget, require_aco_budget,
 which compare_strategies also checks before any run), then require_feasible.
 
+After generation 0, eg_solve stops if horizon.no_sequence_below proves that
+no lattice sequence beats its incumbent (within population * generations *
+n_steps // 4 cells), padding the trace with its cost: a best is replaced only
+on a strict <. aco_solve has no such stop: its final best is rarely the
+lattice optimum (1 of 24 reference-day windows).
+
 All randomness flows from one seed through a single numpy Generator per
 solve; identical inputs and seed give identical output and trace. Genomes
 are lattice index vectors internally so whole populations evaluate as one
@@ -52,7 +58,7 @@ import numpy as np
 
 from .core import BudgetExceeded, LengthMismatch, ValidationError, check_finite_fields
 from .horizon import (MAX_SEARCH_TABLE, ActionLattice, CandidateSequence, HorizonProblem,
-                      sequence_from_indices)
+                      no_sequence_below, sequence_from_indices)
 
 _EG_BLOCK = 16384   # float64 draws in a block of generations: 128 KB
 
@@ -334,6 +340,11 @@ def eg_solve(hp: HorizonProblem, ep: EvoParams
                 best_genome = pop[:, bi].copy()
 
             trace.append(best_cost)
+            if len(trace) == 1 and no_sequence_below(hp, best_cost,
+                                                     m * ep.generations * n // 4):
+                trace *= ep.generations  # proven optimal: no later generation replaces it
+                return (sequence_from_indices(hp.lattice, best_genome),
+                        hp.require_finite(best_cost), trace)
 
     best_cost = hp.require_finite(best_cost)
     return sequence_from_indices(hp.lattice, best_genome), best_cost, trace

@@ -27,6 +27,16 @@ chunks of at most _DP_BLOCK cells (128 KB), every chunk by the same lines:
 index chunks of R_t, up to the first stage whose R_t holds more than
 _DP_DENSE of the grid, and slices over all rows from that stage on. A row
 gets the same arithmetic in any chunk, so plans are those of a full sweep.
+
+no_sequence_below(hp, bound, max_cells) proves that no lattice sequence costs
+less than bound by a forward DP: each bit-distinct SOC (by its 64-bit pattern,
+as aco_solve groups ants) keeps its cheapest prefix, summed as costs_of sums,
+so by monotone rounding the last stage's minimum, credit added, is the lattice
+minimum bit for bit. A prefix is dropped once it plus the later steps'
+cheapest base_costs reaches bound + 1e-9 * (1 + |bound|), a lower bound while
+r_over >= terminal_soc_value (the last over-band penalty outweighs a negative
+credit). NaN never certifies. It gives up (False) before its priced (SOC,
+action) cells would pass max_cells.
 """
 
 from __future__ import annotations
@@ -402,6 +412,32 @@ def _dp_tables(hp: HorizonProblem, soc_grid_step: float
     q0 += hp.base_costs[0]
     q0 += value[succ0]
     return policy, succ, q0, succ0
+
+
+def no_sequence_below(hp: HorizonProblem, bound: float, max_cells: int) -> bool:
+    """True only when no lattice sequence's costs_of is below bound; False
+    also once the next stage would take the cells priced past max_cells."""
+    floor = np.cumsum(hp.base_costs.min(axis=1)[:0:-1])[::-1]  # later steps' cheapest
+    limit = (bound + 1e-9 * (1.0 + abs(bound)) if hp.costs.r_over >= hp.terminal_soc_value
+             else math.nan)  # NaN drops nothing
+    socs, values, cells = np.array([hp.soc0]), np.zeros(1), 0
+    for t in range(hp.n_steps):
+        cells += socs.size * len(hp.lattice)
+        if cells > max_cells:
+            return False
+        soc_next, cost = hp.transitions(socs[:, None])
+        cost += hp.base_costs[t]
+        cost += values[:, None]
+        if t == hp.n_steps - 1:
+            return bool((cost + hp.terminal_credit(soc_next)).min() >= bound)
+        keep = ~(cost + floor[t] >= limit)  # a NaN prefix stays
+        soc_next, cost = soc_next[keep], cost[keep]
+        if not cost.size:
+            return True
+        order = np.argsort(soc_next.view(np.int64), kind="stable")
+        bits = soc_next.view(np.int64)[order]
+        first = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+        socs, values = soc_next[order[first]], np.minimum.reduceat(cost[order], first)
 
 
 def _grid_nodes(soc_min: float, soc_max: float, soc_grid_step: float) -> int:

@@ -1,5 +1,6 @@
 """Evolutionary operators, the EG solver, and the ant-colony arm."""
 
+import os
 import tracemalloc
 from unittest import mock
 
@@ -10,14 +11,21 @@ from hypothesis import strategies as st
 
 import helios.evo
 from conftest import action_indices, make_problem
+from helios.baselines import StrategyKind
+from helios.config import load_config
 from helios.core import (BudgetExceeded, ControlAction, CostParams, LengthMismatch,
                          ValidationError)
 from helios.costing import sequence_cost
+from helios.data import SyntheticProfile, generate_synthetic
+from helios.engine import run_closed_loop
 from helios.evo import (AcoParams, EvoParams, _cut_mask, _lhs_indices,
                         _local_search_indices, _mutation_mask, _select, aco_solve,
                         crossover, eg_solve, mutate)
 from helios.horizon import (MAX_SEARCH_TABLE, ActionLattice, CandidateSequence,
                             build_lattice, sequence_from_indices, solve_exact)
+
+REFERENCE_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                                "reference.cfg")
 
 
 def scalar_local_search(hp, genome, cost, budget):
@@ -597,6 +605,59 @@ class TestEgSolve:
             assert np.isinf(hp.costs_of(init)).any()
             with mock.patch.object(helios.evo, "_EG_BLOCK", 100):
                 assert_eg_matches_reference(hp, ep)
+
+
+def spy_certificate(calls: list):
+    """Patches eg_solve's certificate to record each call's (bound, result)."""
+    certify = helios.evo.no_sequence_below
+
+    def spy(hp, bound, max_cells):
+        calls.append((bound, certify(hp, bound, max_cells)))
+        return calls[-1][1]
+    return mock.patch.object(helios.evo, "no_sequence_below", spy)
+
+
+class TestCertificateStop:
+    """eg_solve stops after generation 0 when horizon.no_sequence_below proves
+    its incumbent optimal on the lattice."""
+
+    def test_stopping_returns_what_every_generation_returns(self):
+        rng = np.random.default_rng(5)
+        calls = []
+        for i in range(40):
+            n = int(rng.integers(1, 6))
+            hp = make_problem(rng.uniform(0.0, 700.0, n).tolist(),
+                              rng.uniform(0.0, 700.0, n).tolist(),
+                              soc0=float(rng.uniform(-300.0, 1500.0)),
+                              lattice=EG_LATTICES[int(rng.choice([3, 6, 23]))],
+                              terminal_soc_value=float(rng.choice([0.0, 0.2])))
+            ep = EvoParams(population=int(rng.integers(5, 60)),
+                           generations=int(rng.integers(1, 30)),
+                           local_search_budget=int(rng.choice([0, 50, 400])), seed=i)
+            with spy_certificate(calls):
+                seq, cost, trace = eg_solve(hp, ep)
+            with mock.patch.object(helios.evo, "no_sequence_below", lambda *args: False):
+                full_seq, full_cost, full_trace = eg_solve(hp, ep)
+            assert action_indices(hp, seq) == action_indices(hp, full_seq)
+            assert cost == full_cost
+            assert trace == full_trace
+        stopped = [stop for _, stop in calls]
+        assert len(stopped) == 40 and 0 < sum(stopped) < 40  # both paths ran
+
+    def test_every_reference_day_window_stops_after_generation_0(self):
+        cfg = load_config(REFERENCE_CONFIG)
+        day = generate_synthetic(days=1, profile=SyntheticProfile(
+            base_load_kw=199.0, bump_load_kw=250.0, bump_start_hour=4, bump_end_hour=8),
+            seed=11)
+        calls = []
+        # _select runs once per generation.
+        with spy_certificate(calls), mock.patch.object(
+                helios.evo, "_select", side_effect=helios.evo._select) as select:
+            run = run_closed_loop(day, StrategyKind.EG_MPC, cfg, seed=2024)
+        assert len(calls) == len(run.convergence) == select.call_count == 24
+        for (bound, stopped), (_, trace) in zip(calls, run.convergence):
+            assert stopped
+            assert trace == (bound,) * cfg.evo.generations
 
 
 class TestAcoSolve:

@@ -22,8 +22,8 @@ from helios.engine import _window_problem
 from helios.evo import AcoParams, EvoParams, aco_solve, eg_solve
 from helios.horizon import (DEFAULT_MAX_ENUMERATION, ActionLattice, CandidateSequence,
                             HorizonProblem, _dp_tables, _solve_dp,
-                            _solve_enumeration, build_lattice, solve_exact,
-                            solve_myopic)
+                            _solve_enumeration, build_lattice, no_sequence_below,
+                            solve_exact, solve_myopic)
 from helios.renewable import predict_series
 
 # The five solver entry points the engine reaches.
@@ -791,3 +791,48 @@ class TestSolveMyopic:
         hour = make_problem(loads[:1], rens[:1], soc0=soc0, lattice=lattice,
                             terminal_soc_value=terminal)
         assert solve_myopic(window)[0] == solve_myopic(hour)[0]
+
+
+# eg_solve's stop certificate. Windows of 1 to 4 steps over at most 9
+# actions; soc0 reaches outside the [100, 900] band, and a terminal weight
+# above r_over (CostParams' 10.0) turns pruning off.
+@settings(max_examples=300, deadline=None)
+@given(p_ch=st.sampled_from([50.0, 100.0, 200.0]), p_dis=st.sampled_from([50.0, 100.0, 200.0]),
+       n=st.integers(1, 4), soc0=st.floats(-300.0, 1500.0),
+       terminal=st.sampled_from([0.0, 0.2, 10.0, 12.5]), gap=st.floats(0.0, 100.0),
+       data=st.data())
+def test_no_sequence_below_certifies_exactly_the_lattice_minimum(p_ch, p_dis, n, soc0,
+                                                                  terminal, gap, data):
+    power = st.floats(0.0, 700.0)
+    lattice = build_lattice(p_ch, p_dis, 50.0)
+    hp = make_problem(data.draw(st.lists(power, min_size=n, max_size=n), label="load"),
+                      data.draw(st.lists(power, min_size=n, max_size=n), label="ren"),
+                      soc0=soc0, lattice=lattice, terminal_soc_value=terminal)
+    _, optimum = _solve_enumeration(hp)
+    above = float(np.nextafter(optimum, math.inf))
+    # Enough for every prefix of the tree, as if no two shared a SOC.
+    cells = sum(len(lattice) ** t for t in range(1, n + 1))
+    for bound in (optimum, optimum - gap, -math.inf):
+        assert no_sequence_below(hp, bound, cells)
+    for bound in (above, above + gap, math.inf, math.nan):
+        assert not no_sequence_below(hp, bound, cells)
+    assert not no_sequence_below(hp, optimum, len(lattice) - 1)  # stage 0 does not fit
+
+
+def test_no_sequence_below_gives_up_before_the_stage_past_its_budget(monkeypatch):
+    # Counts the SOCs each stage prices, 9 actions each.
+    hp = make_problem([320.0, 180.0, 40.0, 260.0], [90.0, 140.0, 300.0, 75.5], soc0=450.0)
+    _, optimum = _solve_enumeration(hp)
+    priced = []
+    transitions = HorizonProblem.transitions
+    monkeypatch.setattr(HorizonProblem, "transitions",
+                        lambda self, soc: priced.append(soc.size) or transitions(self, soc))
+    assert no_sequence_below(hp, -math.inf, 10**6)  # a limit of NaN prunes nothing
+    unpruned = sum(priced)
+    priced.clear()
+    assert no_sequence_below(hp, optimum, 10**6)
+    assert sum(priced) < unpruned
+    needed = sum(priced) * len(hp.lattice)
+    priced.clear()
+    assert not no_sequence_below(hp, optimum, needed - 1)
+    assert sum(priced) * len(hp.lattice) <= needed - 1  # the last stage was never priced
