@@ -20,11 +20,6 @@ def soc_after(p: BatteryParams, soc, p_ch, p_dis):
     return soc + p.eta_ch * p_ch * p.dt - (p_dis / p.eta_dis) * p.dt
 
 
-def step_soc(p: BatteryParams, soc: float, a: ControlAction) -> float:
-    """Next SOC in kWh after applying one action; see soc_after."""
-    return soc_after(p, soc, a.p_ch, a.p_dis)
-
-
 def max_charge_kw(p: BatteryParams, soc: float, renewable_surplus: float,
                   allow_backup_charging: bool = False) -> float:
     """Largest feasible charging power from the current state.

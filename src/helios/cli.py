@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="closed-loop run of one strategy")
     _add_run_args(sim)
-    sim.add_argument("--strategy", required=True)
+    sim.add_argument("--strategy", help="defaults to the config's strategy key")
 
     cmp_p = sub.add_parser("compare", help="run and compare several strategies")
     _add_run_args(cmp_p)
@@ -182,7 +182,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg, scenario, seed = _load_run_inputs(args)
-    strategy = StrategyKind.parse(args.strategy)
+    strategy = cfg.strategy if args.strategy is None else StrategyKind.parse(args.strategy)
     trace = run_closed_loop(scenario, strategy, cfg, seed=seed)
     os.makedirs(args.out_dir, exist_ok=True)
     _write_run_files(args.out_dir, trace)

@@ -9,6 +9,7 @@ SoC0 = 500 kWh, 1000/100 kW rate limits, 0.9 efficiencies, 1 h steps.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 
 from .baselines import StrategyKind
@@ -52,6 +53,10 @@ class Config:
         check_finite_fields(self)
         for name, ok, rule in (("horizon", self.horizon >= 1, ">= 1"),
                                ("forecast_noise_kw", self.forecast_noise_kw >= 0, ">= 0"),
+                               # the noise draw spans 2 * forecast_noise_kw
+                               ("forecast_noise_kw",
+                                self.forecast_noise_kw <= sys.float_info.max / 2,
+                                f"<= {sys.float_info.max / 2!r}"),
                                ("terminal_soc_value", self.terminal_soc_value >= 0, ">= 0"),
                                ("soc_grid_step", self.soc_grid_step > 0, "> 0"),
                                ("delta_p", self.delta_p > 0, "> 0")):

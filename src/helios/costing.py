@@ -1,4 +1,4 @@
-"""Cost decomposition, backup power, energy balance and horizon cost.
+"""Cost decomposition and the package's one pricing path.
 
 Per-step cost has three components:
 - battery:  c_bat * discharge * dt      (cycling / degradation)
@@ -12,28 +12,25 @@ by default, where it adds nothing; a plan whose SOC overflowed gets no credit;
 Config refuses a negative weight, which would charge for stored energy
 instead of crediting it).
 
-book_run books a closed-loop run in one vector pass: every hour's flows and
-bill, by backup_of (stage_base_of's backup formula) and soc_penalty, and the
-run's totals. The scalar backup_power and step_cost bill one hour by the same
-formulas and sequence_cost sums step_cost: they are the tests' reference.
-The vector step cost is stage_base_of (battery + backup, per step and action,
-from the action_terms that HorizonProblem keeps once per run) plus
-soc_penalty (per next SOC). sequence_costs_batch prices rows of lattice
-indices from a window's tables, bit for bit sequence_cost: actions are
-exclusive, so soc + soc_after(bp, 0.0, ...) == soc_after(bp, soc, ...), and
-the SOC path and the total are sequential sums along the steps.
+Every plan and every applied hour is priced by one vector kernel: the step
+cost is stage_base_of (battery + backup, per step and action, from the
+action_terms that HorizonProblem keeps once per run; its backup formula is
+backup_of) plus soc_penalty (per next SOC), and terminal_term ends a window.
+sequence_costs_batch prices rows of lattice indices from a window's tables:
+actions are exclusive, so soc + soc_after(bp, 0.0, ...) == soc_after(bp, soc,
+...), and the SOC path and the total are sequential sums along the steps.
+book_run books a closed-loop run in one pass: every hour's flows and bill, by
+backup_of and soc_penalty, and the run's totals. The scalar reference that
+tests check this kernel against bit for bit is tests/reference.py.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .battery import step_soc
-from .core import (BatteryParams, ControlAction, CostParams, LengthMismatch,
-                   NegativeValue, ValidationError)
+from .core import BatteryParams, CostParams, LengthMismatch, NegativeValue, ValidationError
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,54 +48,6 @@ class CostBreakdown:
                 f"cost components must be >= 0, got battery={self.battery}, "
                 f"backup={self.backup}, penalty={self.penalty}")
         object.__setattr__(self, "total", self.battery + self.backup + self.penalty)
-
-
-def backup_power(load: float, renewable: float, a: ControlAction) -> float:
-    """Diesel power needed to close the balance: max(0, load - (renewable + p_dis - p_ch))."""
-    return max(0.0, load - (renewable + a.p_dis - a.p_ch))
-
-
-def step_cost(cp: CostParams, bp: BatteryParams, load: float, renewable: float,
-              a: ControlAction, soc_next: float,
-              billed_discharge: float | None = None) -> CostBreakdown:
-    """Cost of one step given the unclamped next SOC.
-
-    billed_discharge overrides the cycling quantity: Battery-First and 50/50
-    net a charge and a discharge into one action but pay for the gross
-    discharge they asked for.
-    """
-    dis = a.p_dis if billed_discharge is None else billed_discharge
-    battery = cp.c_bat * dis * bp.dt
-    backup = cp.c_backup * backup_power(load, renewable, a) * bp.dt
-    penalty = (cp.q_under * max(0.0, bp.soc_min - soc_next)
-               + cp.r_over * max(0.0, soc_next - bp.soc_max))
-    return CostBreakdown(battery=battery, backup=backup, penalty=penalty)
-
-
-def sequence_cost(cp: CostParams, bp: BatteryParams, load_kw, renewable_kw,
-                  soc0: float, actions,
-                  terminal_soc_value: float = 0.0) -> float:
-    """Cumulative cost J(u) of a candidate action sequence over a window.
-
-    Simulates the unclamped SOC forward from soc0; load_kw, renewable_kw and
-    actions must have equal length.
-    """
-    load_kw = list(load_kw)
-    renewable_kw = list(renewable_kw)
-    actions = list(actions)
-    if not (len(load_kw) == len(renewable_kw) == len(actions)):
-        raise LengthMismatch(
-            f"window lengths differ: load={len(load_kw)} "
-            f"renewable={len(renewable_kw)} actions={len(actions)}")
-    soc = soc0
-    total = 0.0
-    for load, ren, a in zip(load_kw, renewable_kw, actions):
-        soc_next = step_soc(bp, soc, a)
-        total += step_cost(cp, bp, load, ren, a, soc_next).total
-        soc = soc_next
-    if terminal_soc_value != 0.0 and not math.isinf(soc):  # as terminal_term
-        total += terminal_soc_value * (bp.soc_max - soc)
-    return total
 
 
 def sequence_costs_batch(cp: CostParams, bp: BatteryParams, base_costs: np.ndarray,
@@ -150,7 +99,8 @@ def stage_base_of(cp: CostParams, bp: BatteryParams, load, renewable, cycling, n
 
 
 def backup_of(load, renewable, net):
-    """backup_power over arrays, from net = p_dis - p_ch of exclusive actions."""
+    """Diesel power max(0, load - (renewable + net)) over arrays, from
+    net = p_dis - p_ch of exclusive actions."""
     return np.maximum(0.0, load - (renewable + net))
 
 
@@ -183,8 +133,8 @@ def book_run(cp: CostParams, bp: BatteryParams, first_hour: int, load, renewable
     billed_discharge[t] and ended at SOC soc_next[t], clamped soc[t].
 
     Renewables serve load and charging before diesel does and the rest is
-    curtailed; flows and costs equal backup_power's and step_cost's bit for
-    bit, totals are sums in hour order, and ValidationError names the first
+    curtailed; flows and costs are the scalar reference's bit for bit,
+    totals are sums in hour order, and ValidationError names the first
     hour (first_hour + t) at which a total is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         ld, ren, ch, dis = np.array([load, renewable, p_ch, p_dis], dtype=float)

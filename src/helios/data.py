@@ -151,7 +151,9 @@ def generate_synthetic(days: int, profile: SyntheticProfile | None = None,
     if days < 1:
         raise ValidationError(f"days must be >= 1, got {days}")
     profile = profile or SyntheticProfile()
-    rng = np.random.default_rng(seed)
+    # Seeds in [0, 2**64) keep their stream; a negative one wraps into it, as
+    # run_closed_loop's does.
+    rng = np.random.default_rng(seed % 2**64)
     steps = 24 * days
     irr, wind, load = [], [], []
     for t in range(steps):

@@ -5,7 +5,7 @@ asks the configured strategy for an action (rules net their intents for the
 current hour; optimizers solve the N-step window against its slice of the
 forecast and yield the first action; myopic_mpc's window is the hour alone,
 as its greedy first action reads nothing later). The hour loop only steps
-the plant (clip_feasible, step_soc); then costing.book_run books every hour's
+the plant (clip_feasible, soc_after); then costing.book_run books every hour's
 flows and bill in one vector pass, the records of the DispatchTrace.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import RULE_BASED, StrategyKind, rule_step
-from .battery import clip_feasible, step_soc
+from .battery import clip_feasible, soc_after
 from .config import Config
 from .core import ControlAction, Scenario, ValidationError
 from .costing import HourRecord, book_run
@@ -125,7 +125,7 @@ def run_closed_loop(scenario: Scenario, strategy: StrategyKind, cfg: Config,
 
         applied = clip_feasible(bp, soc, action, load, renewable,
                                 cfg.allow_backup_charging)
-        nxt = step_soc(bp, soc, applied)
+        nxt = soc_after(bp, soc, applied.p_ch, applied.p_dis)
         # clip_feasible keeps applied transitions inside the band; the clamp
         # only swallows float residue at the boundaries.
         soc = min(max(nxt, bp.soc_min), bp.soc_max)

@@ -50,8 +50,8 @@ import numpy as np
 from .battery import soc_after
 from .core import (BatteryParams, BudgetExceeded, ControlAction, CostParams,
                    InvalidStep, Scenario, ValidationError, check_series)
-from .costing import (action_terms, sequence_cost, sequence_costs_batch, soc_penalty,
-                      stage_base_of, terminal_term)
+from .costing import (action_terms, sequence_costs_batch, soc_penalty, stage_base_of,
+                      terminal_term)
 from .renewable import RenewableModel, predict_series
 
 DEFAULT_DELTA_P = 50.0          # kW
@@ -239,12 +239,6 @@ class HorizonProblem:
     def terminal_credit(self, soc_end):
         """The terminal term of J: costing.terminal_term at this window's weight."""
         return terminal_term(self.terminal_soc_value, self.battery, soc_end)
-
-    def cost_of(self, u: CandidateSequence | list[ControlAction]) -> float:
-        """Window objective J(u) for one candidate."""
-        return sequence_cost(self.costs, self.battery, self.window.load,
-                             self.forecast, self.soc0, list(u),
-                             self.terminal_soc_value)
 
     def costs_of(self, idx: np.ndarray) -> np.ndarray:
         """J for each row of an (n_candidates, n_steps) lattice index array."""

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helios.baselines import _RULES, RULE_BASED, StrategyKind, _share_rule, rule_step
-from helios.battery import clip_feasible, max_discharge_kw, step_soc
+from helios.battery import clip_feasible, max_discharge_kw
 from helios.core import BatteryParams, ValidationError
 from helios.costing import book_run
+from reference import step_soc
 
 RF = StrategyKind.RENEWABLE_FIRST
 BF = StrategyKind.BATTERY_FIRST

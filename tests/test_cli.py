@@ -48,6 +48,21 @@ def test_generate_then_simulate_smoke(tmp_path):
     assert (out / "summary_renewable_first.txt").exists()
 
 
+def test_simulate_defaults_to_the_config_strategy(tmp_path):
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.cfg")
+    out = tmp_path / "run"
+    assert cli_main(["simulate", "--config", config, "--data", "synthetic",
+                     "--out-dir", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["convergence_eg_mpc.csv", "summary_eg_mpc.kv",
+                                       "summary_eg_mpc.txt", "trace_eg_mpc.csv"]
+
+
+def test_generate_data_with_a_negative_seed_runs(tmp_path):
+    csv = tmp_path / "s.csv"
+    assert cli_main(["generate-data", "--seed", "-1", "--out", str(csv)]) == 0
+    assert load_hourly_csv(str(csv)).steps == 24
+
+
 def test_unknown_strategy_exits_1_and_echoes_name(tmp_path, capsys):
     csv = tmp_path / "s.csv"
     cli_main(["generate-data", "--days", "1", "--seed", "1", "--out", str(csv)])
@@ -429,6 +444,7 @@ def test_overflowing_backup_total_exits_1_naming_the_hour(tmp_path, capsys):
     ("terminal_soc_value=nan", "Config.terminal_soc_value"),
     ("terminal_soc_value=-0.2", "Config.terminal_soc_value must be >= 0"),
     ("forecast_noise_kw=inf", "Config.forecast_noise_kw"),
+    ("forecast_noise_kw=1e308", "Config.forecast_noise_kw must be <="),
     ("soc_grid_step_kwh=inf", "Config.soc_grid_step"),
     ("aco_alpha=nan", "AcoParams.alpha"),
     ("aco_beta=inf", "AcoParams.beta"),

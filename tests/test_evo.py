@@ -15,7 +15,6 @@ from helios.baselines import StrategyKind
 from helios.config import load_config
 from helios.core import (BudgetExceeded, ControlAction, CostParams, LengthMismatch,
                          ValidationError)
-from helios.costing import sequence_cost
 from helios.data import SyntheticProfile, generate_synthetic
 from helios.engine import run_closed_loop
 from helios.evo import (AcoParams, EvoParams, _cut_mask, _lhs_indices,
@@ -23,6 +22,7 @@ from helios.evo import (AcoParams, EvoParams, _cut_mask, _lhs_indices,
                         crossover, eg_solve, mutate)
 from helios.horizon import (MAX_SEARCH_TABLE, ActionLattice, CandidateSequence,
                             build_lattice, sequence_from_indices, solve_exact)
+from reference import cost_of, sequence_cost
 
 REFERENCE_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                                 "reference.cfg")
@@ -472,8 +472,8 @@ class TestLocalSearch:
             for budget in (1, 7, 50):
                 refined, refined_cost = _local_search_indices(hp, genome, cost, budget)
                 assert refined_cost <= cost
-                assert refined_cost == hp.cost_of(
-                    [hp.lattice.actions[int(i)] for i in refined])
+                assert refined_cost == cost_of(
+                    hp, [hp.lattice.actions[int(i)] for i in refined])
 
     @pytest.mark.parametrize("delta_p", [50.0, 10.0])  # 23 and 111 actions
     def test_batched_climb_matches_scalar_reference(self, delta_p):
@@ -488,7 +488,7 @@ class TestLocalSearch:
                               lattice=lattice,
                               terminal_soc_value=float(rng.choice([0.0, 0.02])))
             genome = rng.integers(0, len(lattice), hp.n_steps)
-            cost = hp.cost_of([lattice.actions[int(i)] for i in genome])
+            cost = cost_of(hp, [lattice.actions[int(i)] for i in genome])
             for _, want_cost in assert_batched_climb_matches_scalar(
                     hp, genome, cost, (1, 7, 22, 23, 50, 400)):
                 improved += want_cost < cost
@@ -501,7 +501,7 @@ class TestLocalSearch:
         lattice = build_lattice(1000.0, 100.0, 50.0)
         hp = make_problem([400.0] * 3, [0.0] * 3, soc0=600.0, lattice=lattice)
         genome = np.full(3, 21)
-        cost = hp.cost_of([lattice.actions[21]] * 3)
+        cost = cost_of(hp, [lattice.actions[21]] * 3)
         results = assert_batched_climb_matches_scalar(
             hp, genome, cost, (1, 7, 21, 22, 23, 50, 400))
         assert results[-1][0].tolist() == [22, 22, 22]
@@ -670,7 +670,7 @@ class TestAcoSolve:
         hp = make_problem([100.0, 200.0], [50.0, 0.0], lattice=only)
         seq, cost, _ = aco_solve(hp, AcoParams(ants=5, iterations=5, seed=2))
         assert all(a.is_idle for a in seq)
-        assert cost == hp.cost_of(seq)
+        assert cost == cost_of(hp, seq)
 
     def test_mostly_reaches_near_optimum(self):
         hp = make_problem([350.0, 420.0], [60.0, 30.0], soc0=700.0,
@@ -708,7 +708,7 @@ class TestAcoSolve:
                                   lattice=build_lattice(1000.0, 100.0, delta),
                                   terminal_soc_value=0.2)
                 seq, cost, _ = aco_solve(hp, AcoParams(ants=8, iterations=6, seed=3))
-                assert cost == hp.cost_of(seq)
+                assert cost == cost_of(hp, seq)
 
     # 111, 23, 6 and 3 actions; exponents 0.5, 1 and 2 take numpy's fast
     # power paths, 3 and 1.7 the general one; soc0 reaches outside the

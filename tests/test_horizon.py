@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 import helios.horizon
 from conftest import action_indices, brute_force_optimum, make_problem, random_small_problem
-from helios.battery import soc_after, step_soc
+from helios.battery import soc_after
 from helios.config import Config
 from helios.core import (BudgetExceeded, ControlAction, CostParams, InvalidStep,
                          ValidationError)
-from helios.costing import soc_penalty, step_cost
+from helios.costing import soc_penalty
 from helios.data import SyntheticProfile, generate_synthetic
 from helios.engine import _window_problem
 from helios.evo import AcoParams, EvoParams, aco_solve, eg_solve
@@ -25,6 +25,7 @@ from helios.horizon import (DEFAULT_MAX_ENUMERATION, ActionLattice, CandidateSeq
                             _solve_enumeration, build_lattice, no_sequence_below,
                             solve_exact, solve_myopic)
 from helios.renewable import predict_series
+from reference import cost_of, step_cost, step_soc
 
 # The five solver entry points the engine reaches.
 SOLVERS = [
@@ -72,7 +73,7 @@ def reference_dp(hp, soc_grid_step):
     for t in range(1, n):
         idx.append(int(policy[t][node]))
         node = int(snap(soc_after(bp, grid[node], p_ch[idx[-1]], p_dis[idx[-1]])))
-    return values, policy, q0.min(), idx, hp.cost_of([hp.lattice.actions[i] for i in idx])
+    return values, policy, q0.min(), idx, cost_of(hp, [hp.lattice.actions[i] for i in idx])
 
 
 def reference_grid(hp, soc_grid_step):
@@ -195,7 +196,7 @@ class TestSolveExact:
     def test_one_step_equals_direct_scan(self):
         hp = make_problem([250.0], [100.0], soc0=400.0)
         seq, cost = solve_exact(hp)
-        scan = min((hp.cost_of([a]), i) for i, a in enumerate(hp.lattice.actions))
+        scan = min((cost_of(hp, [a]), i) for i, a in enumerate(hp.lattice.actions))
         assert cost == scan[0]
         assert hp.lattice.actions.index(seq[0]) == scan[1]
 
@@ -228,7 +229,7 @@ class TestSolveExact:
         for _ in range(1000):
             idx = rng.integers(0, n_actions, size=hp.n_steps)
             seq = [hp.lattice.actions[int(i)] for i in idx]
-            assert hp.cost_of(seq) >= best - 1e-12
+            assert cost_of(hp, seq) >= best - 1e-12
 
     def test_dp_agrees_with_enumeration_within_one_percent(self):
         rng = np.random.default_rng(31)
@@ -541,7 +542,7 @@ class TestHorizonProblem:
         hp = make_problem([320.0, 180.0, 40.0], [90.0, 140.0, 300.0], soc0=150.0,
                           terminal_soc_value=0.02)
         idx = rng.integers(0, len(hp.lattice), (200, hp.n_steps))
-        want = [hp.cost_of([hp.lattice.actions[int(i)] for i in row]) for row in idx]
+        want = [cost_of(hp, [hp.lattice.actions[int(i)] for i in row]) for row in idx]
         assert hp.costs_of(idx).tolist() == want
 
     @settings(max_examples=60, deadline=None)
@@ -653,9 +654,9 @@ def test_window_with_some_infinite_candidates_is_solved(solve):
                           terminal_soc_value=terminal_soc_value)
         out = solve(hp)
         plan = out if isinstance(out, CandidateSequence) else out[0]
-        assert math.isfinite(hp.cost_of(plan))
+        assert math.isfinite(cost_of(hp, plan))
         if terminal_soc_value:
-            assert hp.cost_of(plan) == brute_force_optimum(hp)[1]
+            assert cost_of(hp, plan) == brute_force_optimum(hp)[1]
 
 
 def test_path_rule_takes_dp_where_the_sequence_count_overflows_a_float():
@@ -740,7 +741,7 @@ class TestSolveMyopic:
         bp_soc0 = 100.0 + 50.0 / 0.9  # soc_min + 50 kWh deliverable
         hp = make_problem([30.0, 100.0], [0.0, 0.0], soc0=bp_soc0)
         myopic = solve_myopic(hp)
-        myopic_cost = hp.cost_of(myopic)
+        myopic_cost = cost_of(hp, myopic)
         _, exact_cost = solve_exact(hp)
         combo, oracle = brute_force_optimum(hp)
         assert exact_cost == oracle

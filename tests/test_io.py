@@ -119,6 +119,11 @@ class TestGenerateSynthetic:
         p = SyntheticProfile(wind_jitter_ms=1.5)
         assert generate_synthetic(2, p, seed=9) == generate_synthetic(2, p, seed=9)
 
+    def test_a_negative_seed_wraps_into_the_unsigned_seeds(self):
+        p = SyntheticProfile(wind_jitter_ms=1.5)
+        assert generate_synthetic(2, p, seed=-1) == generate_synthetic(2, p, seed=2**64 - 1)
+        assert generate_synthetic(2, p, seed=-1) != generate_synthetic(2, p, seed=1)
+
     def test_two_days_is_48_steps(self):
         assert generate_synthetic(days=2, seed=0).steps == 48
 
