@@ -175,10 +175,6 @@ class ControlAction:
                 f"simultaneous charge and discharge not allowed: "
                 f"({self.p_ch}, {self.p_dis})")
 
-    @property
-    def is_idle(self) -> bool:
-        return self.p_ch == 0.0 and self.p_dis == 0.0
-
 
 @dataclass(frozen=True)
 class CostParams:

@@ -26,7 +26,7 @@ tests check this kernel against bit for bit is tests/reference.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class CostBreakdown:
     battery: float
     backup: float
     penalty: float
-    total: float = 0.0
+    total: float = field(init=False)
 
     def __post_init__(self):
         if self.battery < 0 or self.backup < 0 or self.penalty < 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +135,9 @@ class SyntheticProfile:
                      "wind_jitter_ms"):
             if (v := getattr(self, name)) < 0:
                 raise NegativeValue(f"SyntheticProfile.{name} must be >= 0, got {v}")
+        if self.wind_jitter_ms > sys.float_info.max / 2:  # the draw spans 2 * jitter
+            raise ValidationError(f"SyntheticProfile.wind_jitter_ms must be <= "
+                                  f"{sys.float_info.max / 2!r}, got {self.wind_jitter_ms}")
         if not 0 <= self.bump_start_hour <= self.bump_end_hour <= 24:
             raise ValidationError(
                 "SyntheticProfile needs 0 <= bump_start_hour <= bump_end_hour <= 24, "

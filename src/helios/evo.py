@@ -168,8 +168,8 @@ def crossover(a: CandidateSequence, b: CandidateSequence, k: int,
     if n < 2 or not (1 <= k < n):
         raise ValidationError(f"need 1 <= k < len(parents), got k={k}, n={n}")
     use_b = _cut_mask(rng.random((1, n - 1)), k)[0].tolist()
-    return (CandidateSequence(tuple(y if s else x for x, y, s in zip(a, b, use_b))),
-            CandidateSequence(tuple(x if s else y for x, y, s in zip(a, b, use_b))))
+    return (CandidateSequence(y if s else x for x, y, s in zip(a, b, use_b)),
+            CandidateSequence(x if s else y for x, y, s in zip(a, b, use_b)))
 
 
 def _cut_mask(u: np.ndarray, k: int) -> np.ndarray:
@@ -195,8 +195,8 @@ def mutate(u: CandidateSequence, lattice: ActionLattice, p_mut: float,
     # Coins first, then replacement genes: the order eg_solve draws them in.
     mutated = _mutation_mask(rng.random((1, len(u))), p_mut)[0].tolist()
     repl = rng.integers(0, len(lattice), (1, len(u)))[0].tolist()
-    return CandidateSequence(tuple(lattice.actions[r] if m else g
-                                   for g, r, m in zip(u, repl, mutated)))
+    return CandidateSequence(lattice.actions[r] if m else g
+                             for g, r, m in zip(u, repl, mutated))
 
 
 def _mutation_mask(coins: np.ndarray, p_mut: float) -> np.ndarray:

@@ -71,15 +71,12 @@ class ActionLattice:
     """Discrete set of control actions: idle, charge levels, discharge levels.
 
     Mutual exclusivity removes the charge x discharge cross product, so
-    len(actions) == levels_ch + levels_dis + 1. Index 0 is always idle;
-    charge levels follow in ascending order, then discharge levels. Tie
-    breaks everywhere prefer the smallest index, i.e. idle, then the
-    smallest charge.
+    there is one action per charge level and per discharge level, plus idle.
+    Index 0 is always idle; charge levels follow in ascending order, then
+    discharge levels. Tie breaks everywhere prefer the smallest index, i.e.
+    idle, then the smallest charge.
     """
 
-    delta_p: float
-    levels_ch: int
-    levels_dis: int
     actions: tuple[ControlAction, ...]
 
     def __len__(self) -> int:
@@ -132,32 +129,16 @@ def build_lattice(p_ch_max: float, p_dis_max: float,
     if not levels <= MAX_LATTICE_LEVELS:
         raise BudgetExceeded(f"lattice of {levels:.3g} levels at delta_p {delta_p} kW "
                              f"exceeds {MAX_LATTICE_LEVELS}")
-    ch_levels = _levels(p_ch_max, delta_p)
-    dis_levels = _levels(p_dis_max, delta_p)
     actions = [ControlAction()]
-    actions += [ControlAction(p_ch=x) for x in ch_levels]
-    actions += [ControlAction(p_dis=x) for x in dis_levels]
-    return ActionLattice(delta_p=delta_p, levels_ch=len(ch_levels),
-                         levels_dis=len(dis_levels), actions=tuple(actions))
+    actions += [ControlAction(p_ch=x) for x in _levels(p_ch_max, delta_p)]
+    actions += [ControlAction(p_dis=x) for x in _levels(p_dis_max, delta_p)]
+    return ActionLattice(actions=tuple(actions))
 
 
-@dataclass(frozen=True)
-class CandidateSequence:
-    """A horizon-length vector of control actions: the optimizer's genome."""
+class CandidateSequence(tuple):
+    """A horizon-length tuple of control actions: the optimizer's genome."""
 
-    actions: tuple[ControlAction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "actions", tuple(self.actions))
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    def __iter__(self):
-        return iter(self.actions)
-
-    def __getitem__(self, i):
-        return self.actions[i]
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -266,7 +247,7 @@ class HorizonProblem:
 
 
 def sequence_from_indices(lattice: ActionLattice, idx) -> CandidateSequence:
-    return CandidateSequence(tuple(lattice.actions[int(i)] for i in idx))
+    return CandidateSequence(lattice.actions[int(i)] for i in idx)
 
 
 # =============================================================================

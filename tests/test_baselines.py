@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helios.baselines import _RULES, RULE_BASED, StrategyKind, _share_rule, rule_step
 from helios.battery import clip_feasible, max_discharge_kw
-from helios.core import BatteryParams, ValidationError
+from helios.core import BatteryParams, ControlAction, ValidationError
 from helios.costing import book_run
 from reference import step_soc
 
@@ -45,7 +45,7 @@ class TestRenewableFirst:
         assert a.p_dis == 100.0  # deficit 200 capped by p_dis_max
 
     def test_dead_calm_zero_load_idles(self, battery):
-        assert act(RF, battery, 500.0, 0.0, 0.0).is_idle
+        assert act(RF, battery, 500.0, 0.0, 0.0) == ControlAction()
 
     def test_never_discharges_while_curtailing(self, battery, costs):
         rng = np.random.default_rng(4)
@@ -83,7 +83,7 @@ class TestBatteryFirst:
         assert a.p_dis == 0.0
 
     def test_zero_everything_idles(self, battery):
-        assert act(BF, battery, 500.0, 0.0, 0.0).is_idle
+        assert act(BF, battery, 500.0, 0.0, 0.0) == ControlAction()
 
 
 class TestFiftyFifty:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, emitted files."""
 
+import math
 import os
 import subprocess
 import sys
@@ -450,6 +451,8 @@ def test_overflowing_backup_total_exits_1_naming_the_hour(tmp_path, capsys):
     ("aco_beta=inf", "AcoParams.beta"),
     ("aco_pheromone_init=inf", "AcoParams.pheromone_init"),
     ("evo_epsilon_fitness=inf", "EvoParams.epsilon_fitness"),
+    ("horizon_steps", "--set expects KEY=VALUE, got 'horizon_steps'"),
+    ("allow_backup_charging=maybe", "'allow_backup_charging': expected a boolean"),
 ])
 def test_bad_config_scalar_exits_1_naming_the_field(tmp_path, capsys, setting, field):
     assert cli_main(["simulate", "--strategy", "renewable_first",
@@ -474,6 +477,9 @@ def test_non_finite_set_of_every_float_key_exits_1_naming_the_field(tmp_path, ca
     ("--wind-jitter", "nan", "SyntheticProfile.wind_jitter_ms must be finite"),
     ("--wind-jitter", "inf", "SyntheticProfile.wind_jitter_ms must be finite"),
     ("--wind-jitter", "-1", "SyntheticProfile.wind_jitter_ms must be >= 0"),
+    ("--wind-jitter", "1e308", "SyntheticProfile.wind_jitter_ms must be <= "),
+    ("--wind-jitter", repr(math.nextafter(sys.float_info.max / 2, math.inf)),
+     "SyntheticProfile.wind_jitter_ms must be <= "),
     ("--wind-base", "-3", "SyntheticProfile.wind_base_ms must be >= 0"),
     ("--bump-start", "30", "0 <= bump_start_hour <= bump_end_hour <= 24"),
 ])

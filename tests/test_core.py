@@ -87,6 +87,12 @@ class TestBatteryParams:
             BatteryParams(capacity=1000, soc_min=100, soc_max=900,
                           p_ch_max=100, p_dis_max=100, eta_ch=eta, eta_dis=0.9)
 
+    @pytest.mark.parametrize("p_ch_max, p_dis_max", [(0.0, 100.0), (100.0, -5.0)])
+    def test_rejects_nonpositive_rate_limit(self, p_ch_max, p_dis_max):
+        with pytest.raises(ValidationError, match="rate limits must be positive"):
+            BatteryParams(capacity=1000, soc_min=100, soc_max=900, p_ch_max=p_ch_max,
+                          p_dis_max=p_dis_max, eta_ch=0.9, eta_dis=0.9)
+
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValidationError):
             BatteryParams(capacity=1000, soc_min=100, soc_max=900,
@@ -96,7 +102,8 @@ class TestBatteryParams:
 
 class TestControlAction:
     def test_idle_default(self):
-        assert ControlAction().is_idle
+        idle = ControlAction()
+        assert (idle.p_ch, idle.p_dis) == (0.0, 0.0)
 
     def test_rejects_simultaneous_charge_discharge(self):
         with pytest.raises(ValidationError):

@@ -1,5 +1,7 @@
 """Cost decomposition, energy balance, and the horizon cost J(u)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,14 @@ class TestCostBreakdown:
     def test_rejects_negative_component(self):
         with pytest.raises(NegativeValue):
             CostBreakdown(battery=-1.0, backup=0.0, penalty=0.0)
+
+    def test_total_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            CostBreakdown(1.0, 2.0, 3.0, total=99.0)
+        with pytest.raises(TypeError):
+            CostBreakdown(1.0, 2.0, 3.0, 99.0)
+        cb = replace(CostBreakdown(1.0, 2.0, 3.0), battery=4.0)
+        assert (cb.battery, cb.total) == (4.0, 4.0 + 2.0 + 3.0)
 
 
 class TestStepCost:

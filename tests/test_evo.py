@@ -232,6 +232,19 @@ class TestParams:
         with pytest.raises(ValidationError):
             AcoParams(evaporation=0.0)
 
+    @pytest.mark.parametrize("cls, kw, message", [
+        (EvoParams, {"crossover_points": 0}, "crossover_points must be >= 1"),
+        (EvoParams, {"generations": 0}, "generations must be >= 1"),
+        (EvoParams, {"epsilon_fitness": 0.0}, "epsilon_fitness must be positive"),
+        (EvoParams, {"local_search_budget": -1}, "local_search_budget must be >= 0"),
+        (AcoParams, {"ants": 0}, "ants and iterations must be >= 1"),
+        (AcoParams, {"iterations": 0}, "ants and iterations must be >= 1"),
+        (AcoParams, {"pheromone_init": 0.0}, "pheromone_init must be positive"),
+    ])
+    def test_out_of_range_knob_is_refused(self, cls, kw, message):
+        with pytest.raises(ValidationError, match=message):
+            cls(**kw)
+
 
 class TestLhsInit:
     def test_population_matching_lattice_size_is_a_permutation(self, small_lattice):
@@ -331,8 +344,8 @@ class TestCrossover:
             c1, c2 = crossover(a, b, k=1, rng=np.random.default_rng(seed))
             cut = next(i for i, g in enumerate(c1) if g == b[0])
             seen_cuts.add(cut)
-            assert tuple(c1) == tuple(a.actions[:cut] + b.actions[cut:])
-            assert tuple(c2) == tuple(b.actions[:cut] + a.actions[cut:])
+            assert tuple(c1) == tuple(a[:cut] + b[cut:])
+            assert tuple(c2) == tuple(b[:cut] + a[cut:])
         assert seen_cuts == {1, 2, 3}
 
     def test_positionwise_gene_conservation(self, small_lattice):
@@ -353,6 +366,13 @@ class TestCrossover:
         b = CandidateSequence(small_lattice.actions[:4])
         with pytest.raises(LengthMismatch):
             crossover(a, b, 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n, k", [(4, 0), (4, 4), (1, 1)])
+    def test_cut_count_outside_the_parents_is_refused(self, small_lattice, n, k):
+        a = CandidateSequence((small_lattice.actions[1],) * n)
+        with pytest.raises(ValidationError, match=f"need 1 <= k < len\\(parents\\), "
+                                                  f"got k={k}, n={n}"):
+            crossover(a, a, k, np.random.default_rng(0))
 
     def test_draws_what_the_batch_kernel_draws(self, small_lattice):
         rng = np.random.default_rng(5)
@@ -393,8 +413,7 @@ class TestMutate:
     def test_singleton_lattice_cannot_change_anything(self):
         from helios.horizon import ActionLattice
         base = build_lattice(50.0, 50.0, 50.0)
-        only = ActionLattice(delta_p=50.0, levels_ch=0, levels_dis=0,
-                             actions=(base.actions[0],))
+        only = ActionLattice(actions=(base.actions[0],))
         u = CandidateSequence((base.actions[0],) * 4)
         mutated = mutate(u, only, 1.0, np.random.default_rng(0))
         assert tuple(mutated) == tuple(u)
@@ -593,8 +612,7 @@ class TestEgSolve:
         # A 1.7e308 kW charge overflows the SOC penalty, so every plan that
         # uses it costs inf; Latin hypercube init gives it to some member at
         # every step, so selection starts on non-finite costs.
-        lattice = ActionLattice(delta_p=50.0, levels_ch=1, levels_dis=1,
-                                actions=(ControlAction(), ControlAction(p_ch=1.7e308),
+        lattice = ActionLattice(actions=(ControlAction(), ControlAction(p_ch=1.7e308),
                                          ControlAction(p_dis=50.0)))
         hp = make_problem([300.0, 120.0, 300.0, 80.0], [0.0, 50.0, 0.0, 10.0],
                           lattice=lattice)
@@ -665,11 +683,10 @@ class TestAcoSolve:
         lat = build_lattice(50.0, 50.0, 50.0)
         # shrink to the idle action only
         from helios.horizon import ActionLattice
-        only = ActionLattice(delta_p=50.0, levels_ch=0, levels_dis=0,
-                             actions=(lat.actions[0],))
+        only = ActionLattice(actions=(lat.actions[0],))
         hp = make_problem([100.0, 200.0], [50.0, 0.0], lattice=only)
         seq, cost, _ = aco_solve(hp, AcoParams(ants=5, iterations=5, seed=2))
-        assert all(a.is_idle for a in seq)
+        assert all(a == ControlAction() for a in seq)
         assert cost == cost_of(hp, seq)
 
     def test_mostly_reaches_near_optimum(self):

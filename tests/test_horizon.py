@@ -14,7 +14,7 @@ import helios.horizon
 from conftest import action_indices, brute_force_optimum, make_problem, random_small_problem
 from helios.battery import soc_after
 from helios.config import Config
-from helios.core import (BudgetExceeded, ControlAction, CostParams, InvalidStep,
+from helios.core import (BudgetExceeded, ControlAction, CostParams, InvalidStep, Scenario,
                          ValidationError)
 from helios.costing import soc_penalty
 from helios.data import SyntheticProfile, generate_synthetic
@@ -151,14 +151,14 @@ class TestBuildLattice:
     def test_reference_sizes(self):
         # 1000/50 = 20 charge levels, 100/50 = 2 discharge levels, plus idle
         lat = build_lattice(1000.0, 100.0, 50.0)
-        assert lat.levels_ch == 20
-        assert lat.levels_dis == 2
+        assert np.count_nonzero(lat.p_ch > 0) == 20
+        assert np.count_nonzero(lat.p_dis > 0) == 2
         assert len(lat) == 23
         assert lat.actions[0] == ControlAction()
 
     def test_step_equal_to_max_gives_single_level(self):
         lat = build_lattice(100.0, 100.0, 100.0)
-        assert lat.levels_dis == 1
+        assert np.count_nonzero(lat.p_dis > 0) == 1
         assert lat.actions[-1] == ControlAction(p_dis=100.0)
 
     def test_last_level_is_exact_maximum(self):
@@ -409,22 +409,22 @@ class TestSolveExact:
         # lattices; each equals a build on a fresh lattice and the per-stage
         # reference bit for bit.
         rng = np.random.default_rng(41)
-        lattices = [build_lattice(1000.0, 100.0, 50.0), build_lattice(1000.0, 100.0, 10.0)]
+        lattices = [(build_lattice(1000.0, 100.0, d), d) for d in (50.0, 10.0)]
         battery = make_problem([0.0], [0.0]).battery
         variants = [(battery, CostParams()), (battery, CostParams(q_under=25.0, r_over=4.0)),
                     (replace(battery, eta_ch=0.8), CostParams())]
-        configs = [(lat, step, bp, cp) for lat in lattices for step in (10.0, 0.5)
+        configs = [(lat, d, step, bp, cp) for lat, d in lattices for step in (10.0, 0.5)
                    for bp, cp in variants]
         for _ in range(3):
             for i in rng.permutation(len(configs)):
-                lattice, step, bp, cp = configs[i]
+                lattice, delta_p, step, bp, cp = configs[i]
                 n = int(rng.integers(1, 7))
                 hp = make_problem(rng.uniform(0.0, 600.0, n).tolist(),
                                   rng.uniform(0.0, 700.0, n).tolist(),
                                   soc0=float(rng.uniform(50.0, 950.0)), battery=bp,
                                   costs=cp, lattice=lattice,
                                   terminal_soc_value=float(rng.choice([0.0, 0.2])))
-                cold = replace(hp, lattice=build_lattice(1000.0, 100.0, lattice.delta_p))
+                cold = replace(hp, lattice=build_lattice(1000.0, 100.0, delta_p))
                 policy, _, q0, _ = _dp_tables(hp, step)
                 cold_policy, _, cold_q0, _ = _dp_tables(cold, step)
                 assert np.array_equal(policy, cold_policy)
@@ -437,7 +437,7 @@ class TestSolveExact:
                 assert (list(action_indices(hp, seq)), cost) == (ref_idx, ref_cost)
                 cached_dp_rows(hp, step)
                 assert len(cold.lattice.dp_rows) == 1
-        assert [len(lat.dp_rows) for lat in lattices] == [6, 6]
+        assert [len(lat.dp_rows) for lat, _ in lattices] == [6, 6]
 
     def test_warm_dp_window_memory_is_bounded_by_the_block_not_the_grid(self):
         # 111 actions on 1601 grid nodes: a nodes x actions table is 1.4 MB.
@@ -623,6 +623,12 @@ class TestHorizonProblem:
         with pytest.raises(ValidationError, match="renewable_override"):
             make_problem([200.0, 200.0], override)
 
+    def test_window_without_steps_is_refused(self):
+        hp = make_problem([200.0], [0.0])
+        empty = Scenario(start_hour=0, steps=0, irradiance=(), wind_speed=(), load=())
+        with pytest.raises(ValidationError, match="at least one step"):
+            replace(hp, window=empty)
+
 
 # The overflow itself warns; the solvers must then refuse the window.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -646,8 +652,7 @@ def test_window_with_some_infinite_candidates_is_solved(solve):
     # credit, a plan whose SOC overflowed to +inf gets no credit: a credit
     # of -inf would turn its inf cost into NaN, which np.argmin takes for
     # the minimum.
-    lattice = ActionLattice(delta_p=50.0, levels_ch=1, levels_dis=1,
-                            actions=(ControlAction(), ControlAction(p_ch=1.7e308),
+    lattice = ActionLattice(actions=(ControlAction(), ControlAction(p_ch=1.7e308),
                                      ControlAction(p_dis=50.0)))
     for terminal_soc_value in (0.0, 0.2):
         hp = make_problem([300.0] * 4, [0.0] * 4, lattice=lattice,
@@ -773,7 +778,7 @@ class TestSolveMyopic:
 
     def test_zero_load_window_stays_idle(self):
         hp = make_problem([0.0] * 4, [0.0] * 4)
-        assert all(a.is_idle for a in solve_myopic(hp))
+        assert all(a == ControlAction() for a in solve_myopic(hp))
 
     # The closed loop plans myopic_mpc's hour alone; that is sound only if
     # the greedy first action never reads a later hour.

@@ -1,5 +1,7 @@
 """CSV ingestion, synthetic data, and the config file format."""
 
+import math
+import sys
 from dataclasses import replace
 
 import pytest
@@ -91,6 +93,17 @@ class TestHourlyCsv:
                                  "which is not an integer literal"):
             load_hourly_csv(str(path))
 
+    @pytest.mark.parametrize("body, message", [
+        ("0,0.5,,200.0\n", "row 0: missing value for column 'wind_ms'"),
+        ("0,0.5,8.0,200.0\n1,0.5,8.0\n", "row 1: missing value for column 'load_kw'"),
+        ("", "contains a header but no data rows"),
+    ], ids=["empty_cell", "short_row", "header_only"])
+    def test_missing_data_is_a_parse_error(self, tmp_path, body, message):
+        path = tmp_path / "s.csv"
+        path.write_text("hour,irradiance_kwh_m2,wind_ms,load_kw\n" + body)
+        with pytest.raises(ParseError, match=message):
+            load_hourly_csv(str(path))
+
     def test_fit_samples_require_renewable_column(self, tmp_path):
         scenario = generate_synthetic(days=1, seed=0)
         bare = tmp_path / "bare.csv"
@@ -141,6 +154,15 @@ class TestGenerateSynthetic:
     def test_negative_wind_jitter_is_refused(self):
         with pytest.raises(NegativeValue, match="wind_jitter_ms must be >= 0"):
             SyntheticProfile(wind_jitter_ms=-0.5)
+
+    def test_wind_jitter_whose_draw_range_overflows_is_refused(self):
+        # The jitter draw spans 2 * wind_jitter_ms: finite up to max / 2.
+        edge = sys.float_info.max / 2
+        winds = generate_synthetic(2, SyntheticProfile(wind_jitter_ms=edge), seed=0).wind_speed
+        assert all(math.isfinite(w) for w in winds)
+        assert 8.9e307 < max(winds) <= edge
+        with pytest.raises(ValidationError, match="wind_jitter_ms must be <= "):
+            SyntheticProfile(wind_jitter_ms=math.nextafter(edge, math.inf))
 
     @pytest.mark.parametrize("field", ["base_load_kw", "bump_load_kw", "irradiance_peak",
                                        "wind_base_ms"])

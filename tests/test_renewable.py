@@ -115,6 +115,18 @@ class TestFit:
                       * np.linalg.norm(design, axis=0))
 
 
+class TestRefusals:
+    @pytest.mark.parametrize("p_rated", [0.0, -600.0])
+    def test_nonpositive_rated_power_is_refused(self, p_rated):
+        with pytest.raises(ValidationError, match=f"p_rated must be positive, got {p_rated}"):
+            RenewableModel(1.0, 1.0, 0.0, 0.0, p_rated=p_rated)
+
+    @pytest.mark.parametrize("irr_grid, v_grid", [([], [8.0]), ([1.0], []), ([], [])])
+    def test_empty_surface_grid_is_refused(self, irr_grid, v_grid):
+        with pytest.raises(ValidationError, match="surface grids must be nonempty"):
+            surface(REF, irr_grid, v_grid)
+
+
 class TestSurface:
     def test_single_cell_matches_predict(self):
         grid = surface(REF, [1.0], [8.0])
