@@ -33,9 +33,11 @@ the first improvement, as a one-at-a-time scan would. aco_solve is the
 ant-colony comparison arm: Ant System on the layered (stage, action)
 construction graph. Its heuristic reads the window's SOC-free stage costs,
 HorizonProblem.base_costs, plus the SOC penalty at each ant's own state
-(HorizonProblem.transitions), priced once per distinct ant state. Both
-solvers start with their size budget (require_eg_budget, require_aco_budget,
-which compare_strategies also checks before any run), then require_feasible.
+(HorizonProblem.transitions), priced once per distinct ant state; a step
+reuses the rows of the state set it last priced while its ants reach a
+bit-equal set, so step 0 is priced once per window. Both solvers start with
+their size budget (require_eg_budget, require_aco_budget, which
+compare_strategies also checks before any run), then require_feasible.
 
 After generation 0, eg_solve stops if horizon.no_sequence_below proves that
 no lattice sequence beats its incumbent (within population * generations *
@@ -114,6 +116,9 @@ class AcoParams:
             raise ValidationError("ants and iterations must be >= 1")
         if self.pheromone_init <= 0:
             raise ValidationError("pheromone_init must be positive")
+        for name in ("alpha", "beta"):  # a negative exponent turns the rule around
+            if (v := getattr(self, name)) < 0:
+                raise ValidationError(f"AcoParams.{name} must be >= 0, got {v}")
 
 
 # =============================================================================
@@ -363,7 +368,9 @@ def aco_solve(hp: HorizonProblem, ap: AcoParams
 
     Ants on bit-equal SOCs share one row of weights and its cumsum per
     step; an ant takes the first action whose cumsum reaches its draw times
-    the row total (uniform when every weight is 0).
+    the row total (uniform when every weight is 0). A step reuses the next
+    SOCs, stage costs and heuristic rows of the SOC set it last priced while
+    its ants reach a bit-equal set; step 0, at soc0, is priced once per window.
     """
     n, n_actions = hp.n_steps, len(hp.lattice)
     require_aco_budget(ap, n, n_actions)
@@ -371,6 +378,9 @@ def aco_solve(hp: HorizonProblem, ap: AcoParams
     rng = np.random.default_rng(ap.seed)
 
     tau = np.full((n, n_actions), ap.pheromone_init, dtype=float)
+    uniform = np.arange(1.0, n_actions + 1)
+    # Per step: the bytes of the SOC set it last priced, and that set's rows.
+    priced: list[tuple] = [(None,)] * n
     best_genome: np.ndarray | None = None
     best_cost = np.inf
     trace: list[float] = []
@@ -383,13 +393,17 @@ def aco_solve(hp: HorizonProblem, ap: AcoParams
         total = np.zeros(ap.ants, dtype=float)
         paths = np.empty((ap.ants, n), dtype=np.int64)
         for t in range(n):
-            soc_next, pen = hp.transitions(states[:, None])
-            stage = hp.base_costs[t] + pen
-            cum = np.cumsum(tau_alpha[t] * (1.0 / (1.0 + stage)) ** ap.beta, axis=1)
-            # Weights are never negative: a last entry of 0 means all are 0.
-            cum[cum[:, -1] == 0.0] = np.arange(1.0, n_actions + 1)  # uniform
+            if priced[t][0] != (key := states.tobytes()):
+                soc_next, pen = hp.transitions(states[:, None])
+                stage = hp.base_costs[t] + pen
+                priced[t] = (key, soc_next, stage, (1.0 / (1.0 + stage)) ** ap.beta)
+            _, soc_next, stage, heuristic = priced[t]
+            cum = np.cumsum(tau_alpha[t] * heuristic, axis=1)
+            # Weights are >= 0, so rows never decrease; a last entry of 0 means all are 0.
+            if not cum[:, -1].all():
+                cum[cum[:, -1] == 0.0] = uniform
             u = draws[t] * cum[at, -1]
-            choice = np.minimum((cum.take(at, axis=0) < u[:, None]).sum(axis=1), n_actions - 1)
+            choice = (cum.take(at, axis=0) >= u[:, None]).argmax(axis=1)
             paths[:, t] = choice
             total += stage[at, choice]
             socs = soc_next[at, choice]

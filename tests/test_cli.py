@@ -449,6 +449,7 @@ def test_overflowing_backup_total_exits_1_naming_the_hour(tmp_path, capsys):
     ("soc_grid_step_kwh=inf", "Config.soc_grid_step"),
     ("aco_alpha=nan", "AcoParams.alpha"),
     ("aco_beta=inf", "AcoParams.beta"),
+    ("aco_beta=-1", "AcoParams.beta must be >= 0"),
     ("aco_pheromone_init=inf", "AcoParams.pheromone_init"),
     ("evo_epsilon_fitness=inf", "EvoParams.epsilon_fitness"),
     ("horizon_steps", "--set expects KEY=VALUE, got 'horizon_steps'"),

@@ -207,6 +207,20 @@ def reference_aco(hp, ap, below=np.less):
     return best_genome.tolist(), hp.require_finite(best_cost), trace
 
 
+def fixed_draws(values):
+    """A stand-in for np.random.default_rng: whatever the seed, each generator
+    it makes returns the given draws, in order, from random()."""
+    class FixedDraws:
+        def __init__(self, seed):
+            self.values = iter(values)
+
+        def random(self, size):
+            return np.array([next(self.values) for _ in range(np.prod(size))]
+                            ).reshape(size)
+
+    return FixedDraws
+
+
 def assert_aco_matches_reference(hp, ap):
     seq, cost, trace = aco_solve(hp, ap)
     ref_idx, ref_cost, ref_trace = reference_aco(hp, ap)
@@ -240,6 +254,8 @@ class TestParams:
         (AcoParams, {"ants": 0}, "ants and iterations must be >= 1"),
         (AcoParams, {"iterations": 0}, "ants and iterations must be >= 1"),
         (AcoParams, {"pheromone_init": 0.0}, "pheromone_init must be positive"),
+        (AcoParams, {"alpha": -2.0}, "AcoParams.alpha must be >= 0"),
+        (AcoParams, {"beta": -1.0}, "AcoParams.beta must be >= 0"),
     ])
     def test_out_of_range_knob_is_refused(self, cls, kw, message):
         with pytest.raises(ValidationError, match=message):
@@ -767,20 +783,39 @@ class TestAcoSolve:
                           lattice=build_lattice(100.0, 100.0, 50.0))
         hp.__dict__["base_costs"] = np.array([[np.inf, 0.0, 5.0, 10.0, 20.0]] * 2)
 
-        class FixedDraws:
-            def __init__(self, seed):
-                self.values = iter([0.0, 0.9999] * 4)  # (ant 0, ant 1) per step
-
-            def random(self, size):
-                return np.array([next(self.values) for _ in range(np.prod(size))]
-                                ).reshape(size)
-
-        monkeypatch.setattr(np.random, "default_rng", FixedDraws)
+        # (ant 0, ant 1) per step
+        monkeypatch.setattr(np.random, "default_rng", fixed_draws([0.0, 0.9999] * 4))
         ap = AcoParams(ants=2, iterations=2)
         assert_aco_matches_reference(hp, ap)
         _, cost, _ = reference_aco(hp, ap)
         _, cost_at_most, _ = reference_aco(hp, ap, below=np.less_equal)
         assert cost > 0.0 and cost_at_most == 0.0
+
+    def test_a_step_reuses_its_rows_only_for_a_bit_equal_soc_set(self, monkeypatch):
+        # From soc0 = 1001.3, storing 90 kWh then drawing 55.6 kWh ends 2.3e-13
+        # kWh away from the opposite order, above soc_max, where the penalty and
+        # the terminal credit price every bit. The one ant takes (3, 2, 2), then
+        # (2, 3, 2), then (3, 2, 3), each cheaper than the last, so step 2's SOC
+        # set goes B, A, B: sets that round alike but must each be priced from
+        # their own bits, and every iteration's cost shows in the trace.
+        hp = make_problem([300.0] * 3, [100.0] * 3, soc0=1001.3,
+                          lattice=build_lattice(100.0, 100.0, 50.0),
+                          terminal_soc_value=0.2)
+        hp.__dict__["base_costs"] = np.array([[np.inf, np.inf, 0.0, 2000.0, np.inf]]
+                                             + [[np.inf, np.inf, 10.0, 20.0, np.inf]] * 2)
+        steps = hp.soc_steps
+        soc_a, soc_b = (1001.3 + steps[2]) + steps[3], (1001.3 + steps[3]) + steps[2]
+        assert soc_a != soc_b and round(soc_a, 6) == round(soc_b, 6)
+
+        # A draw of 1e-6 takes action 2, one of 0.9999 action 3.
+        monkeypatch.setattr(np.random, "default_rng", fixed_draws(
+            [0.9999, 1e-6, 1e-6, 1e-6, 0.9999, 1e-6, 0.9999, 1e-6, 0.9999]))
+        ap = AcoParams(ants=1, iterations=3)
+        seq, cost, trace = aco_solve(hp, ap)
+        assert action_indices(hp, seq) == (3, 2, 3)
+        assert cost == hp.costs_of(np.array([[3, 2, 3]]))[0]
+        assert trace[0] > trace[1] > trace[2] == cost
+        assert_aco_matches_reference(hp, ap)
 
 
 class TestSearchBudget:
