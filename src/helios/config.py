@@ -59,6 +59,7 @@ class Config:
                                 f"<= {sys.float_info.max / 2!r}"),
                                ("terminal_soc_value", self.terminal_soc_value >= 0, ">= 0"),
                                ("soc_grid_step", self.soc_grid_step > 0, "> 0"),
+                               ("max_enumeration", self.max_enumeration >= 0, ">= 0"),
                                ("delta_p", self.delta_p > 0, "> 0")):
             if not ok:
                 raise ValidationError(

@@ -13,9 +13,11 @@ these. What does not change between windows is built once per run: soc_steps
 and the action terms of base_costs (cycling cost, net battery power) are
 read-only tables on the run's lattice, by (battery, costs); a window prices
 only base_costs from its own load and forecast.
-Enumeration walks the prefix tree depth first, in lexicographic order, and
-prices each shared prefix once, summed as costs_of sums; blocks of at most
-_ENUM_CHUNK // n_actions nodes keep memory O(n_steps * _ENUM_CHUNK). DP
+Enumeration carries kept prefixes forward stage by stage, in lexicographic
+order, summed as costs_of sums. It drops a prefix x action when an earlier one
+reaches a bit-equal SOC at no more cost: that one wins every completion (same
+SOC path, penalties and credit; monotone rounding), so the last stage's first
+minimum is enumeration's bit for bit. Each table has <= max_enumeration cells. DP
 sweeps the SOC grid backward in two value rows, then solves stage 0 from the
 exact soc0 alone. Grid rows have the same SOC penalties and successor nodes
 at every stage of every window, so _dp_tables builds both tables once per
@@ -61,7 +63,6 @@ MAX_DP_TABLE = 50_000_000       # grid nodes * steps * actions
 MAX_LATTICE_LEVELS = 100_000    # charge + discharge levels, p_max / delta_p each
 MAX_SEARCH_TABLE = 1_000_000    # EG population * steps, ACO ants * max(steps, actions)
 
-_ENUM_CHUNK = 2048
 _DP_BLOCK = 16384   # cells in a DP stage chunk: 128 KB of float64
 _DP_DENSE = 0.5     # share of the grid above which a DP stage sweeps every row
 
@@ -297,28 +298,26 @@ def require_dp_budget(bp: BatteryParams, soc_grid_step: float, n_steps: int,
 
 
 def _solve_enumeration(hp: HorizonProblem) -> tuple[CandidateSequence, float]:
-    n_actions, last = len(hp.lattice), hp.n_steps - 1
-    block = max(1, _ENUM_CHUNK // n_actions)
-    best = [np.inf, 0]  # cost and lexicographic number of the earliest minimum
-
-    def expand(t, soc, partial, first):
-        # Depth-t nodes first, first+1, ...: child f (flat) is first*n_actions + f.
-        soc_next, cost = hp.transitions(soc[:, None])
+    n_actions, kept = len(hp.lattice), []  # per stage: kept rows * n_actions + actions
+    socs, values = np.array([hp.soc0]), np.zeros(1)  # the kept prefixes' SOCs and costs
+    for t in range(hp.n_steps):
+        soc_next, cost = hp.transitions(socs[:, None])
         cost += hp.base_costs[t]
-        cost += partial[:, None]
-        if t < last:
-            for s in range(0, cost.size, block):
-                expand(t + 1, soc_next.ravel()[s:s + block], cost.ravel()[s:s + block],
-                       first * n_actions + s)
-            return
-        cost += hp.terminal_credit(soc_next)
-        i = int(np.argmin(cost))  # the block's first minimum; strict < the first block's
-        if cost.flat[i] < best[0]:
-            best[:] = float(cost.flat[i]), first * n_actions + i
-
-    expand(0, np.array([hp.soc0]), np.zeros(1), 0)
-    digits = np.unravel_index(best[1], (n_actions,) * hp.n_steps)
-    return sequence_from_indices(hp.lattice, digits), hp.require_finite(best[0])
+        cost += values[:, None]
+        if t == hp.n_steps - 1:
+            break
+        bits = soc_next.ravel().view(np.int64)
+        order = np.lexsort((cost.ravel(), bits))  # by SOC bits, cost, then flat index
+        group = np.cumsum(np.concatenate(([0], bits[order[1:]] != bits[order[:-1]])))
+        rank = order - group * cost.size  # the running minimum restarts at each group
+        kept.append(np.sort(order[rank == np.minimum.accumulate(rank)], kind="stable"))
+        socs, values = soc_next.take(kept[-1]), cost.take(kept[-1])
+    cost += hp.terminal_credit(soc_next)
+    idx = [int(np.argmin(cost))]  # the first minimum in lexicographic order
+    for rows in reversed(kept):
+        idx.append(int(rows[idx[-1] // n_actions]))
+    return (sequence_from_indices(hp.lattice, [i % n_actions for i in reversed(idx)]),
+            hp.require_finite(float(cost.flat[idx[0]])))
 
 
 def _solve_dp(hp: HorizonProblem, soc_grid_step: float

@@ -377,6 +377,17 @@ def test_lattice_past_budget_exits_2_without_a_traceback(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_runtime_error_exits_2_without_a_traceback(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise helios.core.HeliosError("closed loop failed")
+
+    monkeypatch.setattr(helios.cli, "run_closed_loop", fail)
+    assert cli_main(["simulate", "--strategy", "renewable_first", "--data", "synthetic",
+                     "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "runtime error: closed loop failed\n"
+
+
 @pytest.mark.parametrize("command", ["compare", "generate-data"])
 def test_wind_whose_cube_overflows_exits_1_without_a_traceback(tmp_path, command):
     out = tmp_path / "out"
@@ -447,6 +458,7 @@ def test_overflowing_backup_total_exits_1_naming_the_hour(tmp_path, capsys):
     ("forecast_noise_kw=inf", "Config.forecast_noise_kw"),
     ("forecast_noise_kw=1e308", "Config.forecast_noise_kw must be <="),
     ("soc_grid_step_kwh=inf", "Config.soc_grid_step"),
+    ("max_enumeration=-1", "Config.max_enumeration must be >= 0"),
     ("aco_alpha=nan", "AcoParams.alpha"),
     ("aco_beta=inf", "AcoParams.beta"),
     ("aco_beta=-1", "AcoParams.beta must be >= 0"),

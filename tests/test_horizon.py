@@ -1,6 +1,5 @@
 """Action lattice, exact solvers, and the myopic comparison arm."""
 
-import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -246,9 +245,11 @@ class TestSolveExact:
         b = solve_exact(hp)
         assert a == b
 
+    # The chunk sizes go to reference_enumeration's mixed-radix scan: at every
+    # block size its strict < across blocks keeps the first minimum, as the
+    # forward pass and the pure-python oracle do.
     @pytest.mark.parametrize("chunk", [65536, 16384, 2048, 7, 81])
-    def test_chunked_enumeration_keeps_the_first_minimum(self, chunk, monkeypatch):
-        monkeypatch.setattr(helios.horizon, "_ENUM_CHUNK", chunk)
+    def test_chunked_enumeration_keeps_the_first_minimum(self, chunk):
         rng = np.random.default_rng(8)
         problems = [random_small_problem(rng) for _ in range(4)]
         # Tie-heavy: with free cycling, 408 of the 6561 sequences share the
@@ -265,6 +266,7 @@ class TestSolveExact:
             combo, oracle = brute_force_optimum(hp)  # itertools.product scan
             assert action_indices(hp, seq) == combo
             assert cost == oracle
+            assert reference_enumeration(hp, chunk) == (list(combo), oracle)
 
     # 23, 12, 6 and 3 actions; loads and renewables from a coarse set make
     # many sequences tie; soc0 reaches far outside the [100, 900] band, so
@@ -287,44 +289,52 @@ class TestSolveExact:
         assert list(action_indices(hp, seq)) == ref_idx
         assert cost == ref_cost
 
-    @pytest.mark.parametrize("chunk", [2048, 81, 7])
-    def test_tree_prices_every_leaf_as_costs_of_in_lexicographic_order(self, chunk,
-                                                                       monkeypatch):
-        # Records each last-level block the walk takes its argmin over.
-        leaves = []
-
-        class RecordingNumpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def argmin(self, a):
-                leaves.append(a.ravel().copy())
-                return np.argmin(a)
-
-        # Above the band for several steps: every leaf pays SOC penalties.
-        hp = make_problem([320.0, 180.0, 40.0, 260.0], [90.0, 140.0, 300.0, 75.5],
-                          soc0=1234.5, lattice=build_lattice(1000.0, 100.0, 100.0),
-                          terminal_soc_value=0.0137)
-        monkeypatch.setattr(helios.horizon, "_ENUM_CHUNK", chunk)
-        monkeypatch.setattr(helios.horizon, "np", RecordingNumpy())
-        _solve_enumeration(hp)
-        idx = np.array(list(itertools.product(range(len(hp.lattice)), repeat=hp.n_steps)))
-        assert np.concatenate(leaves).tolist() == hp.costs_of(idx).tolist()
+    # Prefixes that reach bit-equal SOCs differ by an ulp and tie after the
+    # next addition: in the first window [0, 21] costs 114.54556860634337 and
+    # [21, 0] 114.54556860634335, and both full plans cost 247.22677202658343.
+    # Keeping only the cheapest prefix per SOC returns [21, 0, 2], [0, 21, 0, 1],
+    # [21, 0, 1, 1] and [0, 22, 0, 0].
+    @pytest.mark.parametrize("loads, renewables, soc0, plan", [
+        ([330.0, 240.0, 240.0],
+         [59.40983735409057, 87.10493395809826, 349.02747657959793],
+         202.1495384543551, [0, 21, 2]),
+        ([240.0] * 4,
+         [255.72611302050467, 140.82078935289326, 103.8400343728012, 309.59347031770903],
+         158.34779790623236, [0, 0, 21, 1]),
+        ([240.0] * 4,
+         [140.82078935289326, 103.8400343728012, 309.59347031770903, 280.8035253530446],
+         158.34779790623236, [0, 21, 1, 1]),
+        ([320.0] * 4,
+         [218.1843163759695, 157.51356917993303, 192.3635990772491, 313.4809238225151],
+         262.84315686805996, [0, 0, 22, 0]),
+    ], ids=["0-21-2", "0-0-21-1", "0-21-1-1", "0-0-22-0"])
+    def test_rounding_level_near_ties_keep_the_first_minimum(self, loads, renewables,
+                                                             soc0, plan):
+        hp = make_problem(loads, renewables, soc0=soc0,
+                          lattice=build_lattice(1000.0, 100.0, 50.0),
+                          terminal_soc_value=0.2)
+        seq, cost = solve_exact(hp)
+        ref_idx, ref_cost = reference_enumeration(hp)
+        assert list(action_indices(hp, seq)) == ref_idx == plan
+        assert cost == ref_cost
 
     def test_enumeration_memory_is_bounded_by_the_block_not_the_window(self):
-        # 3 actions over 12 steps: 531441 sequences, a frontier block per level.
-        hp = make_problem([200.0] * 12, [150.0] * 12, soc0=480.0,
-                          lattice=build_lattice(1000.0, 100.0, 1000.0),
-                          terminal_soc_value=0.0137)
-        assert len(hp.lattice) ** hp.n_steps == 531441
-        _ = hp.base_costs, hp.soc_steps  # price the window before tracing the scan
-        tracemalloc.start()
-        try:
-            _solve_enumeration(hp)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+        # 531441, 279841 and 12321 sequences: 3 actions over 12 steps, 23 over
+        # 4 and 111 over 2; each stage prices only its kept SOCs x actions.
+        for delta_p, n_steps, n_sequences in ((1000.0, 12, 531441), (50.0, 4, 279841),
+                                              (10.0, 2, 12321)):
+            hp = make_problem([200.0] * n_steps, [150.0] * n_steps, soc0=480.0,
+                              lattice=build_lattice(1000.0, 100.0, delta_p),
+                              terminal_soc_value=0.0137)
+            assert len(hp.lattice) ** hp.n_steps == n_sequences
+            _ = hp.base_costs, hp.soc_steps  # price the window before tracing the scan
+            tracemalloc.start()
+            try:
+                _solve_enumeration(hp)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
 
     @pytest.mark.parametrize("delta_p, grid_step", [(50.0, 10.0), (10.0, 0.5)],
                              ids=["coarse", "fine"])
